@@ -155,10 +155,20 @@ bool Vocabulary::AtomCompatibleWithInd(AtomId a, IndId i) const {
     // assumption keeps them possible.
     return ind.kind == IndKind::kClassic;
   }
-  // Built-in atoms apply intrinsically.
-  std::vector<AtomId> intrinsic = IntrinsicAtoms(i);
-  for (AtomId x : intrinsic) {
-    if (x == a) return true;
+  // Built-in atoms apply intrinsically: the same table as IntrinsicAtoms,
+  // read without materializing it (this runs per filler and per atom in
+  // every Tighten and Disjoint).
+  if (ind.kind == IndKind::kClassic) return a == classic_thing_atom_;
+  if (a == host_thing_atom_) return true;
+  switch (ind.host->type()) {
+    case HostType::kInteger:
+      return a == integer_atom_ || a == number_atom_;
+    case HostType::kReal:
+      return a == real_atom_ || a == number_atom_;
+    case HostType::kString:
+      return a == string_atom_;
+    case HostType::kBoolean:
+      return a == boolean_atom_;
   }
   return false;
 }

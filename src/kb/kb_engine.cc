@@ -1,5 +1,6 @@
 #include "kb/kb_engine.h"
 
+#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -166,7 +167,26 @@ sexpr::Value QueryAnswer::ToSexpr() const {
   return sexpr::Value::MakeList(std::move(items));
 }
 
-std::string QueryAnswer::ToWire() const { return ToSexpr().ToString(); }
+std::string QueryAnswer::ToWire() const {
+  // ToSexpr().ToString(), byte for byte, rendered straight into one buffer:
+  // no Value per answer string and no escaped temporaries.
+  const char* code = StatusCodeName(status.code());
+  size_t size = 16 + std::strlen(code) + status.message().size();
+  for (const std::string& v : values) size += v.size() + 3;
+  std::string out;
+  out.reserve(size);
+  out += "(answer ";
+  out += code;
+  out += ' ';
+  sexpr::AppendQuoted(status.message(), &out);
+  out += " (";
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ' ';
+    sexpr::AppendQuoted(values[i], &out);
+  }
+  out += "))";
+  return out;
+}
 
 Result<QueryAnswer> QueryAnswer::FromSexpr(const sexpr::Value& v) {
   if (!v.HasHead("answer") || v.size() != 4 || !v.at(1).IsSymbol() ||
@@ -388,20 +408,13 @@ QueryAnswer KbEngine::ServeQueryImpl(const KnowledgeBase& kb,
         out.status = q.status();
         return out;
       }
-      Result<std::vector<IndId>> ids = RetrievePossible(kb, *q);
+      Result<std::vector<IndId>> ids = planner::RetrievePossible(
+          kb, *q, request.explain ? &plan : nullptr);
       if (!ids.ok()) {
         out.status = ids.status();
         return out;
       }
       out.values = Names(kb, *ids);
-      if (request.explain) {
-        // Possible-set semantics (not provably excluded) admit no
-        // complete index source; the scan over every visible individual
-        // is the only access path.
-        plan = planner::Node("possible-scan", {},
-                             kb.num_visible_individuals());
-        plan.act = ids->size();
-      }
       break;
     }
     case QueryRequest::Kind::kAskDescription: {

@@ -182,6 +182,8 @@ struct QueryAnswer {
   // for the same reason).
 
   sexpr::Value ToSexpr() const;
+  /// ToSexpr() rendered to concrete syntax, written without building the
+  /// Value tree (the server encodes every reply with it).
   std::string ToWire() const;
   static Result<QueryAnswer> FromSexpr(const sexpr::Value& v);
   static Result<QueryAnswer> FromWire(const std::string& text);

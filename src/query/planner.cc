@@ -9,6 +9,7 @@
 
 #include "obs/metrics.h"
 #include "query/selectivity.h"
+#include "subsume/subsume.h"
 #include "util/bitset.h"
 #include "util/string_util.h"
 
@@ -500,6 +501,51 @@ Result<RetrievalResult> RetrieveQuery(const KnowledgeBase& kb,
   }
   out.answers.assign(frontier.begin(), frontier.end());
   if (plan != nullptr) *plan = std::move(root_plan);
+  return out;
+}
+
+Result<std::vector<IndId>> RetrievePossible(const KnowledgeBase& kb,
+                                            const Query& query,
+                                            PlanNode* plan) {
+  if (query.has_marker) {
+    return Status::NotImplemented(
+        "ask-possible-set does not support ?: markers");
+  }
+  CLASSIC_ASSIGN_OR_RETURN(NormalFormPtr nf,
+                           kb.normalizer().NormalizeConcept(query.full));
+  PlanNode definite_plan;
+  CLASSIC_ASSIGN_OR_RETURN(
+      RetrievalResult definite,
+      RetrieveConcept(kb, *nf, plan != nullptr ? &definite_plan : nullptr));
+  const IndId visible = kb.num_visible_individuals();
+  const std::optional<std::set<IndId>>& members = nf->enumeration();
+  const DisjointProbe query_probe(*nf, kb.vocab());
+  std::vector<IndId> out;
+  size_t excluded = 0;
+  auto next_definite = definite.answers.begin();  // sorted
+  for (IndId i = 0; i < visible; ++i) {
+    if (next_definite != definite.answers.end() && *next_definite == i) {
+      ++next_definite;
+      continue;
+    }
+    // Identity is definite under the unique-name assumption: an
+    // enumeration excludes every non-member. Otherwise an individual is
+    // excluded only if its known state contradicts the query.
+    if ((members && members->count(i) == 0) ||
+        query_probe.DisjointFrom(*kb.state(i).derived)) {
+      ++excluded;
+      continue;
+    }
+    out.push_back(i);
+  }
+  if (plan != nullptr) {
+    *plan = Node("possible", {}, visible);
+    plan->act = out.size();
+    plan->children.push_back(std::move(definite_plan));
+    PlanNode exclusion = Node("exclusion-test", {}, visible);
+    exclusion.act = excluded;
+    plan->children.push_back(std::move(exclusion));
+  }
   return out;
 }
 

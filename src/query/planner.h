@@ -93,6 +93,18 @@ Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
 Result<RetrievalResult> RetrieveQuery(const KnowledgeBase& kb,
                                       const Query& query, PlanNode* plan);
 
+/// \brief ask-possible: the visible individuals that neither satisfy the
+/// query nor are provably excluded by it. The definite answers come from
+/// RetrieveConcept (so they take its access paths); every other visible
+/// individual is excluded when it is not a member of the query's ONE-OF
+/// (unique names) or its derived state is Disjoint from the query. The
+/// plan, when requested, is `(possible <definite plan> (exclusion-test))`
+/// where the exclusion test's est is the visible count and its act the
+/// number excluded. Marked queries are NotImplemented.
+Result<std::vector<IndId>> RetrievePossible(const KnowledgeBase& kb,
+                                            const Query& query,
+                                            PlanNode* plan);
+
 /// \brief Plan-only variant (no execution; actual cardinalities stay
 /// kNotExecuted below the root): the access path RetrieveConcept would
 /// choose right now. Used to explain entry points that execute through

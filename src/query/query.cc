@@ -4,7 +4,6 @@
 
 #include "desc/parser.h"
 #include "query/planner.h"
-#include "subsume/subsume.h"
 #include "util/string_util.h"
 
 namespace classic {
@@ -270,25 +269,7 @@ Result<RetrievalResult> RetrieveNaive(const KnowledgeBase& kb,
 
 Result<std::vector<IndId>> RetrievePossible(const KnowledgeBase& kb,
                                             const Query& query) {
-  if (query.has_marker) {
-    return Status::NotImplemented(
-        "ask-possible-set does not support ?: markers");
-  }
-  CLASSIC_ASSIGN_OR_RETURN(NormalFormPtr nf,
-                           kb.normalizer().NormalizeConcept(query.full));
-  std::vector<IndId> out;
-  for (IndId i = 0; i < kb.num_visible_individuals(); ++i) {
-    if (kb.Satisfies(i, *nf)) continue;  // already a definite answer
-    // Identity is definite under the unique-name assumption: an
-    // enumeration excludes every non-member.
-    if (nf->enumeration() && nf->enumeration()->count(i) == 0) continue;
-    // Otherwise excluded only if the known state *contradicts* the query.
-    const NormalForm& derived = *kb.state(i).derived;
-    if (!MeetNormalForms(derived, *nf, kb.vocab())->incoherent()) {
-      out.push_back(i);
-    }
-  }
-  return out;
+  return planner::RetrievePossible(kb, query, nullptr);
 }
 
 }  // namespace classic

@@ -92,7 +92,7 @@ Result<RetrievalResult> RetrieveNaive(const KnowledgeBase& kb,
 /// query but are not provably excluded either (their known state is
 /// consistent with the query). Only meaningful under the open-world
 /// assumption. Marked queries are not supported (the marked position
-/// ranges over unknown fillers).
+/// ranges over unknown fillers). Delegates to planner::RetrievePossible.
 Result<std::vector<IndId>> RetrievePossible(const KnowledgeBase& kb,
                                             const Query& query);
 

@@ -228,9 +228,7 @@ void Render(const Value& v, std::string* out) {
       break;
     }
     case Kind::kString:
-      *out += '"';
-      *out += EscapeString(v.text());
-      *out += '"';
+      AppendQuoted(v.text(), out);
       break;
     case Kind::kList: {
       *out += '(';
@@ -245,6 +243,12 @@ void Render(const Value& v, std::string* out) {
 }
 
 }  // namespace
+
+void AppendQuoted(std::string_view text, std::string* out) {
+  *out += '"';
+  AppendEscapedString(text, out);
+  *out += '"';
+}
 
 std::string Value::ToString() const {
   std::string out;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -122,6 +123,11 @@ class Value {
   double real_ = 0.0;
   std::vector<Value> items_;
 };
+
+/// \brief Appends `text` as a string literal, quoted and escaped exactly as
+/// Value::ToString renders a string value. Lets a writer render a known
+/// form straight into one buffer instead of building Values.
+void AppendQuoted(std::string_view text, std::string* out);
 
 /// \brief Renders a location as " (line L, column C)", or "" when unknown.
 /// Appended to reader/parser error messages so they point at real input

@@ -150,29 +150,172 @@ std::vector<std::vector<size_t>> EquivalenceClasses(
   return classes;
 }
 
+namespace {
+
+// Disjoint derives only what Tighten would derive where two tightened
+// forms meet. Without ONE-OF or SAME-AS at a level, MergeNormalFormInto
+// followed by Tighten can reach incoherence in exactly two ways: two atoms
+// of one disjointness group, or a role record both sides constrain (a
+// record only one side carries is already at its fixed point). Such a
+// record settles after one TightenOnce pass, so its verdict is a closed
+// formula over the two records; RolesClash evaluates it.
+
+/// An enumeration or co-reference at this level: its interplay with the
+/// other side (enumeration filtering, coref record merging) is left to
+/// MeetNormalForms itself.
+bool NeedsMeet(const NormalForm& nf) {
+  return nf.enumeration().has_value() || !nf.coref().empty();
+}
+
+/// True if the atoms of two coherent forms clash. A coherent form holds
+/// at most one atom per group, so only a grouped atom of `walked` that
+/// `probed` lacks can meet a different atom of its group; `probed` is
+/// searched, not walked, unless that happens.
+template <typename Atoms>
+bool AtomsClash(const Atoms& walked, const std::set<AtomId>& probed,
+                const Vocabulary& vocab) {
+  for (AtomId x : walked) {
+    const Symbol group = vocab.atom(x).group;
+    if (group == kNoSymbol || probed.count(x) > 0) continue;
+    for (AtomId y : probed) {
+      if (vocab.atom(y).group == group) return true;
+    }
+  }
+  return false;
+}
+
+/// Walks a ∪ b in order, stopping at the first element `fn` accepts.
+template <typename Fn>
+bool AnyOfUnion(const std::set<IndId>& a, const std::set<IndId>& b, Fn fn) {
+  auto ia = a.begin();
+  auto ib = b.begin();
+  while (ia != a.end() || ib != b.end()) {
+    IndId next;
+    if (ib == b.end() || (ia != a.end() && *ia < *ib)) {
+      next = *ia++;
+    } else {
+      if (ia != a.end() && *ia == *ib) ++ia;
+      next = *ib++;
+    }
+    if (fn(next)) return true;
+  }
+  return false;
+}
+
+size_t UnionSize(const std::set<IndId>& a, const std::set<IndId>& b) {
+  if (a.empty() || b.empty()) return a.size() + b.size();
+  size_t n = 0;
+  AnyOfUnion(a, b, [&n](IndId) {
+    ++n;
+    return false;
+  });
+  return n;
+}
+
+/// Tighten's intrinsic check of a known filler against a value
+/// restriction: outside its enumeration, or incompatible with an atom.
+bool FillerClashes(IndId f, const NormalForm& vr, const Vocabulary& vocab) {
+  if (vr.enumeration() && vr.enumeration()->count(f) == 0) return true;
+  for (AtomId atom : vr.atoms()) {
+    if (!vocab.AtomCompatibleWithInd(atom, f)) return true;
+  }
+  return false;
+}
+
+/// The checks against the merged value restriction `vr` of a record that
+/// needs `least` > 0 fillers.
+bool RestrictionClash(const NormalForm& vr, const RoleRestriction& ra,
+                      const RoleRestriction& rb, uint64_t least,
+                      const Vocabulary& vocab) {
+  // An incoherent restriction forbids every filler.
+  if (vr.incoherent()) return true;
+  // An enumerated one bounds the number of distinct fillers.
+  if (vr.enumeration() && least > vr.enumeration()->size()) return true;
+  return AnyOfUnion(ra.fillers, rb.fillers, [&](IndId f) {
+    return FillerClashes(f, vr, vocab);
+  });
+}
+
+/// Incoherence of the merge of two tightened records of one role, as
+/// Tighten's record pass derives it: bounds max/min-merged with the filler
+/// union as a lower bound (unique names), then the merged value
+/// restriction against the required fillers. Each tightened record has
+/// already folded its closure (at_most = |fillers|) and the attribute
+/// clamp into at_most, so the merged at_most carries both.
+bool RolesClash(const RoleRestriction& ra, const RoleRestriction& rb,
+                const Vocabulary& vocab) {
+  const uint64_t least = std::max<uint64_t>(
+      {ra.at_least, rb.at_least, UnionSize(ra.fillers, rb.fillers)});
+  if (least > std::min(ra.at_most, rb.at_most)) return true;
+  // With no filler required the record is satisfiable whatever the
+  // restriction: (AT-MOST 0 r) is always an option.
+  if (least == 0) return false;
+
+  const NormalForm* va = ra.value_restriction.get();
+  const NormalForm* vb = rb.value_restriction.get();
+  if (va == nullptr || vb == nullptr) {
+    // The merge keeps the one restriction as it is.
+    const NormalForm* vr = va != nullptr ? va : vb;
+    return vr != nullptr && RestrictionClash(*vr, ra, rb, least, vocab);
+  }
+  if (NeedsMeet(*va) || NeedsMeet(*vb)) {
+    return RestrictionClash(MeetNormalFormsValue(*va, *vb, vocab), ra, rb,
+                            least, vocab);
+  }
+  // The meet of two restrictions without enumerations has the union of
+  // their atoms and no enumeration, so each filler is checked against
+  // both; its incoherence is this same test one level down.
+  if (Disjoint(*va, *vb, vocab)) return true;
+  return AnyOfUnion(ra.fillers, rb.fillers, [&](IndId f) {
+    return FillerClashes(f, *va, vocab) || FillerClashes(f, *vb, vocab);
+  });
+}
+
+/// Disjoint(a, b), given `b_atoms` ⊆ b.atoms() holding at least every
+/// grouped atom of `b`. `b` is walked and `a` searched, so one `b` tested
+/// against many `a` (a query against every individual's state) keeps its
+/// own side in cache.
+template <typename Atoms>
+bool DisjointWalkingB(const NormalForm& a, const NormalForm& b,
+                      const Atoms& b_atoms, const Vocabulary& vocab) {
+  if (a.incoherent() || b.incoherent()) return true;
+  if (NeedsMeet(a) || NeedsMeet(b)) {
+    return MeetNormalFormsValue(a, b, vocab).incoherent();
+  }
+  if (AtomsClash(b_atoms, a.atoms(), vocab)) return true;
+  for (const auto& [role, rb] : b.roles()) {
+    auto ra = a.roles().find(role);
+    if (ra != a.roles().end() && RolesClash(ra->second, rb, vocab)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 bool Disjoint(const NormalForm& a, const NormalForm& b,
               const Vocabulary& vocab) {
-  if (a.incoherent() || b.incoherent()) return true;
-  return MeetNormalForms(a, b, vocab)->incoherent();
+  return DisjointWalkingB(a, b, b.atoms(), vocab);
+}
+
+DisjointProbe::DisjointProbe(const NormalForm& fixed, const Vocabulary& vocab)
+    : fixed_(fixed), vocab_(vocab) {
+  for (AtomId x : fixed.atoms()) {
+    if (vocab.atom(x).group != kNoSymbol) grouped_atoms_.push_back(x);
+  }
+}
+
+bool DisjointProbe::DisjointFrom(const NormalForm& other) const {
+  return DisjointWalkingB(other, fixed_, grouped_atoms_, vocab_);
 }
 
 std::vector<uint8_t> BatchDisjoint(const NormalForm& base,
                                    const std::vector<NormalFormPtr>& cands,
                                    const Vocabulary& vocab) {
   std::vector<uint8_t> out(cands.size(), 0);
-  std::map<NfId, uint8_t> memo;  // verdicts for interned candidates
   for (size_t i = 0; i < cands.size(); ++i) {
-    if (cands[i] == nullptr) continue;
-    NfId id = cands[i]->interned_id();
-    if (id != kNoNfId) {
-      auto it = memo.find(id);
-      if (it != memo.end()) {
-        out[i] = it->second;
-        continue;
-      }
-    }
-    out[i] = Disjoint(base, *cands[i], vocab) ? 1 : 0;
-    if (id != kNoNfId) memo.emplace(id, out[i]);
+    if (cands[i] != nullptr) out[i] = Disjoint(base, *cands[i], vocab) ? 1 : 0;
   }
   return out;
 }

@@ -46,16 +46,41 @@ std::vector<std::vector<size_t>> EquivalenceClasses(
 
 /// \brief True iff no individual can satisfy both descriptions
 /// (conservative: detected when their conjunction is incoherent).
+///
+/// For tightened forms the verdict is exactly
+/// `MeetNormalForms(a, b, vocab)->incoherent()`, but the meet is not
+/// built: the test derives only what Tighten would derive where the two
+/// forms meet (clashing atoms of one disjointness group; per shared role
+/// the merged bounds, closure included, against the filler union, the
+/// nested value restrictions and each filler's intrinsic compatibility)
+/// and allocates nothing. Only a level where either side carries ONE-OF
+/// or SAME-AS is decided by materializing that level's meet. ask-possible
+/// runs it, through DisjointProbe, once per visible individual.
 bool Disjoint(const NormalForm& a, const NormalForm& b,
               const Vocabulary& vocab);
 
+/// \brief Disjoint against one fixed form, for testing many forms in
+/// turn: the fixed side's share of the work (finding which of its atoms
+/// belong to a disjointness group) is done once, at construction.
+/// ask-possible builds one per query and tests every visible individual's
+/// derived state. Holds references to `fixed` and `vocab`.
+class DisjointProbe {
+ public:
+  DisjointProbe(const NormalForm& fixed, const Vocabulary& vocab);
+
+  /// \brief Disjoint(other, fixed, vocab).
+  bool DisjointFrom(const NormalForm& other) const;
+
+ private:
+  const NormalForm& fixed_;
+  const Vocabulary& vocab_;
+  std::vector<AtomId> grouped_atoms_;
+};
+
 /// \brief Batch emptiness: out[i] = Disjoint(base, *cands[i]) — whether
-/// the meet of `base` with each candidate is unsatisfiable. One call
-/// computes each *distinct* meet once: candidates are deduped by
-/// interned NfId, so the static analyzer's abstract-domain pass (which
-/// probes one state against every rule consequent, many of them shared
-/// normal forms) pays one Tighten per distinct pair instead of one per
-/// probe. Null candidates yield 0.
+/// the meet of `base` with each candidate is unsatisfiable (the static
+/// analyzer probes one state against every rule consequent). Null
+/// candidates yield 0.
 std::vector<uint8_t> BatchDisjoint(const NormalForm& base,
                                    const std::vector<NormalFormPtr>& cands,
                                    const Vocabulary& vocab);

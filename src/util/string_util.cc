@@ -45,25 +45,29 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 std::string EscapeString(std::string_view s) {
   std::string out;
   out.reserve(s.size());
+  AppendEscapedString(s, &out);
+  return out;
+}
+
+void AppendEscapedString(std::string_view s, std::string* out) {
   for (char c : s) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
       default:
-        out += c;
+        *out += c;
     }
   }
-  return out;
 }
 
 }  // namespace classic

@@ -26,6 +26,9 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// literal (backslash-escapes `"` and `\`, encodes newline/tab).
 std::string EscapeString(std::string_view s);
 
+/// \brief EscapeString, appended to `*out` in place.
+void AppendEscapedString(std::string_view s, std::string* out);
+
 /// \brief Variadic string concatenation via operator<<.
 template <typename... Args>
 std::string StrCat(Args&&... args) {

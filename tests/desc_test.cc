@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "desc/description.h"
 #include "desc/host_value.h"
 #include "desc/parser.h"
@@ -230,6 +232,36 @@ TEST(VocabularyTest, AtomCompatibility) {
   EXPECT_FALSE(v.AtomCompatibleWithInd(
       v.builtin_atom(BuiltinConcept::kInteger), host));
   EXPECT_FALSE(v.AtomCompatibleWithInd(v.host_thing_atom(), rocky));
+}
+
+TEST(VocabularyTest, BuiltinCompatibilityMatchesIntrinsicAtoms) {
+  // AtomCompatibleWithInd reads the intrinsic-atom table without building
+  // it; for every built-in atom it must agree with IntrinsicAtoms.
+  Vocabulary v;
+  const std::vector<IndId> inds = {
+      *v.CreateIndividual("Rocky"),
+      v.InternHostValue(HostValue::Integer(7)),
+      v.InternHostValue(HostValue::Real(2.5)),
+      v.InternHostValue(HostValue::String("s")),
+      v.InternHostValue(HostValue::Boolean(true)),
+  };
+  std::vector<AtomId> builtins = {v.classic_thing_atom(), v.host_thing_atom()};
+  for (BuiltinConcept b :
+       {BuiltinConcept::kInteger, BuiltinConcept::kReal,
+        BuiltinConcept::kNumber, BuiltinConcept::kString,
+        BuiltinConcept::kBoolean}) {
+    builtins.push_back(v.builtin_atom(b));
+  }
+  for (IndId i : inds) {
+    const std::vector<AtomId> intrinsic = v.IntrinsicAtoms(i);
+    for (AtomId a : builtins) {
+      const bool listed =
+          std::find(intrinsic.begin(), intrinsic.end(), a) != intrinsic.end();
+      EXPECT_EQ(v.AtomCompatibleWithInd(a, i), listed)
+          << v.symbols().Name(v.atom(a).name) << " vs "
+          << v.IndividualName(i);
+    }
+  }
 }
 
 TEST(ParserLocationTest, ErrorsCarrySourcePositions) {

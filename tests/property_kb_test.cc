@@ -8,6 +8,8 @@
 //   - agreement: classified retrieval equals the naive scan on random
 //     queries;
 //   - consistency: the answer set and the possible set never overlap;
+//   - possible set: engine ask-possible equals a reference scan under
+//     every planner mode;
 //   - persistence: snapshot + reload reproduces every extension;
 //   - retraction: retract + reassert returns to the same state.
 
@@ -18,6 +20,8 @@
 
 #include "classic/database.h"
 #include "desc/parser.h"
+#include "kb/kb_engine.h"
+#include "query/planner.h"
 #include "query/query.h"
 #include "storage/snapshot.h"
 #include "subsume/subsume.h"
@@ -82,6 +86,38 @@ class RandomDb {
         expr = StrCat("(ALL q", rng_.Below(kRoles), " P",
                       rng_.Below(kConcepts / 2), ")");
         break;
+    }
+    Status st = db_.AssertInd(ind, expr);
+    if (st.ok()) accepted_.emplace_back(ind, expr);
+    return st.ok();
+  }
+
+  /// Step, or one of the updates ask-possible's exclusion test reasons
+  /// about: host fillers, closed roles, host-typed and enumerated value
+  /// restrictions.
+  bool RichStep() {
+    std::string ind = StrCat("X", rng_.Below(kInds));
+    std::string expr;
+    switch (rng_.Below(8)) {
+      case 0:
+        expr = StrCat("(FILLS q", rng_.Below(kRoles), " ", rng_.Below(3), ")");
+        break;
+      case 1:
+        expr = StrCat("(FILLS q", rng_.Below(kRoles), " \"s", rng_.Below(2),
+                      "\")");
+        break;
+      case 2:
+        expr = StrCat("(CLOSE q", rng_.Below(kRoles), ")");
+        break;
+      case 3:
+        expr = StrCat("(ALL q", rng_.Below(kRoles), " NUMBER)");
+        break;
+      case 4:
+        expr = StrCat("(ALL q", rng_.Below(kRoles), " (ONE-OF X",
+                      rng_.Below(kInds), " X", rng_.Below(kInds), "))");
+        break;
+      default:
+        return Step();
     }
     Status st = db_.AssertInd(ind, expr);
     if (st.ok()) accepted_.emplace_back(ind, expr);
@@ -207,6 +243,79 @@ TEST_P(KbPropertyTest, DefiniteAndPossibleAreDisjoint) {
           << d << " is both definite and merely-possible for " << name;
     }
   }
+}
+
+/// Reference ask-possible: every visible individual that does not satisfy
+/// the query, is not a non-member of its ONE-OF, and whose state's meet
+/// with the query is coherent.
+std::vector<std::string> NaivePossible(const KnowledgeBase& kb,
+                                       const std::string& text) {
+  auto q = ParseQueryString(text, &kb.vocab().symbols());
+  EXPECT_TRUE(q.ok()) << text;
+  auto nf = kb.normalizer().NormalizeConcept(q->full);
+  EXPECT_TRUE(nf.ok()) << text;
+  const NormalForm& query = **nf;
+  std::vector<std::string> out;
+  for (IndId i = 0; i < kb.num_visible_individuals(); ++i) {
+    if (kb.Satisfies(i, query)) continue;
+    if (query.enumeration() && query.enumeration()->count(i) == 0) continue;
+    if (MeetNormalForms(*kb.state(i).derived, query, kb.vocab())
+            ->incoherent()) {
+      continue;
+    }
+    out.push_back(kb.vocab().IndividualName(i));
+  }
+  return out;
+}
+
+TEST_P(KbPropertyTest, PossibleEqualsNaive) {
+  RandomDb rdb(GetParam() * 43 + 17);
+  for (int i = 0; i < 80; ++i) rdb.RichStep();
+  const KnowledgeBase& kb = rdb.db().kb();
+  Rng& rng = rdb.rng();
+  std::vector<std::string> queries = {
+      "THING", "INTEGER", "(ONE-OF X1 X2 X3)", "(AND P0 (ONE-OF X0 X5))",
+      "(AT-MOST 0 q0)", "(AT-MOST 0 q2)", "(AND D1 (AT-MOST 0 q1))",
+      "(ALL q0 INTEGER)", "(ALL q1 STRING)", "(ALL q0 (ONE-OF X1 X2))",
+      "(FILLS q0 1)", "(FILLS q1 \"s0\")", "(AT-LEAST 3 q1)",
+      "(AND (AT-MOST 1 q0) (FILLS q0 X1))",
+      "(ALL q2 (AND (ALL q0 P1) (AT-LEAST 1 q1)))",
+      "(AND (ONE-OF X0 X1 X2 X3 X4 X5 X6) (AT-MOST 0 q0))",
+      "(AND (ONE-OF X7 X8 X9 X10 X11 X12 X13) (ALL q1 STRING))"};
+  for (int n = 0; n < 12; ++n) {
+    const uint64_t r = rng.Below(kRoles);
+    switch (rng.Below(4)) {
+      case 0:
+        queries.push_back(StrCat("(AND D", rng.Below(kConcepts / 2),
+                                 " (AT-MOST 0 q", r, "))"));
+        break;
+      case 1:
+        queries.push_back(StrCat("(ALL q", r, " (ONE-OF X", rng.Below(kInds),
+                                 " ", rng.Below(3), "))"));
+        break;
+      case 2:
+        queries.push_back(StrCat("(AND P", rng.Below(kConcepts / 2),
+                                 " (AT-MOST ", rng.Below(2), " q", r,
+                                 ") (ALL q", r, " P",
+                                 rng.Below(kConcepts / 2), "))"));
+        break;
+      case 3:
+        queries.push_back(StrCat("(AND (FILLS q", r, " X", rng.Below(kInds),
+                                 ") (ALL q", r, " NUMBER))"));
+        break;
+    }
+  }
+  for (planner::Mode mode : {planner::Mode::kAuto, planner::Mode::kForceIndex,
+                             planner::Mode::kForceScan}) {
+    planner::SetMode(mode);
+    for (const std::string& text : queries) {
+      QueryAnswer a = KbEngine::ServeQuery(kb, QueryRequest::AskPossible(text));
+      ASSERT_TRUE(a.status.ok()) << text << ": " << a.status.ToString();
+      EXPECT_EQ(a.values, NaivePossible(kb, text))
+          << text << " (planner mode " << static_cast<int>(mode) << ")";
+    }
+  }
+  planner::SetMode(planner::Mode::kAuto);
 }
 
 TEST_P(KbPropertyTest, SnapshotReloadPreservesExtensions) {

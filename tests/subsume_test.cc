@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "desc/normalize.h"
 #include "desc/parser.h"
 #include "subsume/subsume.h"
+#include "util/rng.h"
 
 namespace classic {
 namespace {
@@ -185,6 +189,169 @@ TEST_F(SubsumeTest, DisjointnessDetection) {
   EXPECT_FALSE(
       Disjoint(*NF("(AT-LEAST 1 r)"), *NF("(AT-MOST 1 r)"), vocab_));
   EXPECT_TRUE(Disjoint(*NF("INTEGER"), *NF("CLASSIC-THING"), vocab_));
+}
+
+/// Random tightened normal forms, built through NormalForm's builder
+/// interface so that every constraint Tighten reasons about can appear —
+/// CLOSE included, which no concept expression states. Small pools of
+/// roles, atoms and individuals make the two sides of a pair collide.
+class RandomForms {
+ public:
+  RandomForms(const Vocabulary& vocab, uint64_t seed)
+      : vocab_(vocab), rng_(seed) {
+    for (const char* r : {"r", "a", "s", "b"}) {
+      roles_.push_back(*vocab.FindRole(vocab.symbols().Intern(r)));
+    }
+    for (const char* a : {"a", "b"}) {
+      attributes_.push_back(*vocab.FindRole(vocab.symbols().Intern(a)));
+    }
+    SymbolTable& sym = vocab.symbols();
+    atoms_ = {vocab.classic_thing_atom(),
+              vocab.host_thing_atom(),
+              vocab.builtin_atom(BuiltinConcept::kInteger),
+              vocab.builtin_atom(BuiltinConcept::kReal),
+              vocab.builtin_atom(BuiltinConcept::kNumber),
+              vocab.builtin_atom(BuiltinConcept::kString),
+              vocab.builtin_atom(BuiltinConcept::kBoolean),
+              vocab.PrimitiveAtom(sym.Intern("p")),
+              vocab.PrimitiveAtom(sym.Intern("q")),
+              *vocab.DisjointPrimitiveAtom(sym.Intern("g"), sym.Intern("m")),
+              *vocab.DisjointPrimitiveAtom(sym.Intern("g"), sym.Intern("f")),
+              *vocab.DisjointPrimitiveAtom(sym.Intern("h"), sym.Intern("u")),
+              *vocab.DisjointPrimitiveAtom(sym.Intern("h"), sym.Intern("v"))};
+    for (const char* i : {"X", "Y", "Z"}) {
+      inds_.push_back(*vocab.FindIndividual(sym.Intern(i)));
+    }
+    for (const HostValue& v :
+         {HostValue::Integer(1), HostValue::Integer(2), HostValue::Real(2.5),
+          HostValue::String("s"), HostValue::Boolean(true)}) {
+      inds_.push_back(vocab.InternHostValue(v));
+    }
+    tests_ = {sym.Intern("t1"), sym.Intern("t2")};
+  }
+
+  /// A tightened form whose value restrictions nest `depth` more levels.
+  NormalFormPtr Make(int depth) {
+    // Mostly coherent forms (a pair with an incoherent side is decided
+    // before any real work), but incoherent ones too, at every depth.
+    for (;;) {
+      NormalFormPtr nf = Attempt(depth);
+      if (!nf->incoherent() || rng_.Chance(0.1)) return nf;
+    }
+  }
+
+ private:
+  NormalFormPtr Attempt(int depth) {
+    NormalForm nf;
+    for (uint64_t n = rng_.Below(3); n > 0; --n) nf.AddAtom(Atom(), vocab_);
+    if (rng_.Chance(0.12)) {
+      std::set<IndId> members;
+      for (uint64_t n = 1 + rng_.Below(3); n > 0; --n) members.insert(Ind());
+      nf.IntersectEnumeration(members);
+    }
+    if (rng_.Chance(0.2)) nf.AddTest(tests_[rng_.Below(tests_.size())]);
+    for (uint64_t n = rng_.Below(4); n > 0; --n) {
+      // Two of the four roles take most constraints, so pairs collide.
+      RoleRestriction* rr = nf.MutableRole(
+          roles_[rng_.Chance(0.75) ? rng_.Below(2) : 2 + rng_.Below(2)],
+          vocab_);
+      if (rng_.Chance(0.5)) {
+        rr->at_least = std::max<uint32_t>(rr->at_least, rng_.Below(3));
+      }
+      if (rng_.Chance(0.35)) {
+        rr->at_most = std::min<uint32_t>(rr->at_most, rng_.Below(4));
+      }
+      if (rng_.Chance(0.45)) {
+        for (uint64_t k = 1 + rng_.Below(2); k > 0; --k) {
+          rr->fillers.insert(Ind());
+        }
+      }
+      if (rng_.Chance(0.15)) rr->closed = true;
+      if (depth > 0 && rng_.Chance(0.6)) {
+        NormalFormPtr vr = Make(depth - 1);
+        rr->value_restriction =
+            rr->value_restriction
+                ? MeetNormalForms(*rr->value_restriction, *vr, vocab_)
+                : vr;
+      }
+    }
+    if (rng_.Chance(0.1)) {
+      RolePath p = Path();
+      RolePath q = Path();
+      if (p != q) nf.mutable_coref()->Equate(p, q);
+    }
+    nf.Tighten(vocab_);
+    return std::make_shared<const NormalForm>(std::move(nf));
+  }
+
+  /// CLASSIC-THING and user primitives more often than host builtins,
+  /// which clash with most of the rest.
+  AtomId Atom() {
+    const uint64_t roll = rng_.Below(10);
+    if (roll < 3) return atoms_[0];                      // CLASSIC-THING
+    if (roll < 8) return atoms_[7 + rng_.Below(6)];      // user primitives
+    return atoms_[1 + rng_.Below(6)];                    // host builtins
+  }
+
+  /// Classic individuals about twice as often as host values.
+  IndId Ind() {
+    return rng_.Chance(0.65) ? inds_[rng_.Below(3)]
+                             : inds_[3 + rng_.Below(inds_.size() - 3)];
+  }
+
+  /// A SAME-AS chain of one or two attributes.
+  RolePath Path() {
+    RolePath p = {attributes_[rng_.Below(attributes_.size())]};
+    if (rng_.Chance(0.3)) {
+      p.push_back(attributes_[rng_.Below(attributes_.size())]);
+    }
+    return p;
+  }
+
+  const Vocabulary& vocab_;
+  Rng rng_;
+  std::vector<RoleId> roles_;
+  std::vector<RoleId> attributes_;
+  std::vector<AtomId> atoms_;
+  std::vector<IndId> inds_;
+  std::vector<Symbol> tests_;
+};
+
+TEST_F(SubsumeTest, DisjointMatchesMeetIncoherence) {
+  // Differential: Disjoint must give MeetNormalForms' verdict on every
+  // pair of tightened forms, nested value restrictions to depth 3
+  // (incoherent ones included), SAME-AS chains, ONE-OF, TEST, CLOSE, host
+  // builtins and host fillers.
+  RandomForms gen(vocab_, 20261017);
+  std::vector<NormalFormPtr> pool;
+  for (int i = 0; i < 600; ++i) pool.push_back(gen.Make(3));
+  Rng pick(7);
+  size_t coherent_pairs = 0;
+  size_t disjoint_coherent_pairs = 0;
+  size_t divergences = 0;
+  for (int n = 0; n < 20000; ++n) {
+    const NormalForm& a = *pool[pick.Below(pool.size())];
+    const NormalForm& b = *pool[pick.Below(pool.size())];
+    const bool meet = MeetNormalForms(a, b, vocab_)->incoherent();
+    const bool disjoint = Disjoint(a, b, vocab_);
+    if (DisjointProbe(b, vocab_).DisjointFrom(a) != disjoint) {
+      ADD_FAILURE() << "DisjointProbe disagrees with Disjoint";
+    }
+    if (!a.incoherent() && !b.incoherent()) {
+      ++coherent_pairs;
+      if (meet) ++disjoint_coherent_pairs;
+    }
+    if (disjoint != meet && ++divergences <= 5) {
+      ADD_FAILURE() << "Disjoint=" << disjoint << " but Meet incoherent="
+                    << meet << "\n  a: " << a.ToString(vocab_)
+                    << "\n  b: " << b.ToString(vocab_);
+    }
+  }
+  EXPECT_EQ(divergences, 0u);
+  // Both verdicts are well represented among coherent inputs.
+  EXPECT_GT(coherent_pairs, 3000u);
+  EXPECT_GT(disjoint_coherent_pairs, coherent_pairs / 10);
+  EXPECT_LT(disjoint_coherent_pairs, coherent_pairs * 9 / 10);
 }
 
 TEST_F(SubsumeTest, ClosedDerivedStateSubsumption) {

@@ -118,6 +118,9 @@ TEST(WireTest, AnswerRoundTripPreservesStatusAndValues) {
     if (status.ok()) {
       original.values = HostileTexts();
     }
+    // ToWire writes the form directly; it must render exactly as the
+    // Value tree does.
+    EXPECT_EQ(original.ToWire(), original.ToSexpr().ToString());
     Result<QueryAnswer> decoded = QueryAnswer::FromWire(original.ToWire());
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded->status.code(), original.status.code());
