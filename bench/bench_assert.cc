@@ -94,18 +94,14 @@ BENCHMARK(BM_BulkLoad)
     ->Range(64, 1024)
     ->Unit(benchmark::kMillisecond);
 
-// Parallel bulk load through Database::BulkAssert: the whole ABox is one
-// batch, so the propagation engine sees one giant wavefront it can
-// partition into weakly-connected components and schedule on a pool.
-// Args: {num_individuals, pool_threads (0 = serial), island_size
-// (0 = one giant component, 1 = num_individuals singleton islands)}.
-// The component sweep keeps the speedup claim honest against both the
-// worst shape (one component, no parallelism available) and the best
-// (many independent islands).
-void BM_BulkLoadParallel(benchmark::State& state) {
+// Bulk load through Database::BulkAssert: the whole ABox is one batch,
+// so the propagation engine settles it as one wavefront. Args:
+// {num_individuals, island_size (0 = one giant component, 1 =
+// num_individuals singleton islands)}. The shapes bracket the role graph
+// from fully connected to fully independent.
+void BM_BulkLoadShape(benchmark::State& state) {
   const size_t num_inds = static_cast<size_t>(state.range(0));
-  const size_t threads = static_cast<size_t>(state.range(1));
-  const size_t island = static_cast<size_t>(state.range(2));
+  const size_t island = static_cast<size_t>(state.range(1));
   for (auto _ : state) {
     state.PauseTiming();
     Database db;
@@ -114,7 +110,6 @@ void BM_BulkLoadParallel(benchmark::State& state) {
     sspec.num_defined = 50;
     sspec.seed = 7;
     SchemaHandles schema = BuildSchema(&db, sspec);
-    if (threads > 0) db.EnableParallelPropagation(threads);
     BulkSpec bspec;
     bspec.num_individuals = num_inds;
     bspec.island = island;
@@ -128,19 +123,13 @@ void BM_BulkLoadParallel(benchmark::State& state) {
         static_cast<double>(stats.propagation_steps);
   }
   state.counters["individuals"] = static_cast<double>(num_inds);
-  state.counters["threads"] = static_cast<double>(threads);
   state.counters["islands"] =
       static_cast<double>(island == 0 ? 1 : num_inds / island);
 }
-BENCHMARK(BM_BulkLoadParallel)
-    ->Args({1024, 0, 0})   // serial, one giant component
-    ->Args({1024, 2, 0})   // 2 threads, one giant component
-    ->Args({1024, 8, 0})   // 8 threads, one giant component
-    ->Args({1024, 0, 1})   // serial, 1024 singleton islands
-    ->Args({1024, 2, 1})   // 2 threads, 1024 islands
-    ->Args({1024, 8, 1})   // 8 threads, 1024 islands
-    ->Args({10240, 0, 16})  // serial, 10k individuals in 640 islands
-    ->Args({10240, 8, 16})  // 8 threads, 10k individuals in 640 islands
+BENCHMARK(BM_BulkLoadShape)
+    ->Args({1024, 0})    // one giant component
+    ->Args({1024, 1})    // 1024 singleton islands
+    ->Args({10240, 16})  // 10k individuals in 640 islands
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

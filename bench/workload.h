@@ -77,16 +77,16 @@ struct BulkSpec {
   double primitive_assert_prob = 0.9;
   /// Role-graph topology knob: when nonzero, fillers only target
   /// individuals inside the same block of `island` consecutive
-  /// individuals, yielding num_individuals/island disconnected islands
-  /// (the propagation engine's independent components). 0 targets any
-  /// earlier individual — one giant weakly-connected component.
+  /// individuals, yielding num_individuals/island disconnected islands.
+  /// 0 targets any earlier individual — one giant weakly-connected
+  /// component.
   size_t island = 0;
   uint64_t seed = 7;
 };
 
 /// \brief Same assertion mix as PopulateIndividuals, but applied through
-/// Database::BulkAssert as one atomic batch (one partitionable
-/// propagation wavefront). Returns the names.
+/// Database::BulkAssert as one atomic batch (one propagation
+/// wavefront). Returns the names.
 std::vector<std::string> BulkPopulateIndividuals(Database* db,
                                                  const SchemaHandles& schema,
                                                  const BulkSpec& spec);

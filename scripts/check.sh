@@ -71,10 +71,6 @@ if [[ "$TSAN_ONLY" -eq 0 ]]; then
       --benchmark_format=json --benchmark_min_time=0.05 2> /dev/null |
     python3 scripts/check_publish_cost.py
 
-  echo "== propagate: serial-vs-parallel determinism over shipped KBs"
-  ./build/tools/classic_propcheck examples/university.classic \
-      examples/crime.classic
-
   echo "== perf: bulk-load cost regression guard (smoke-mode bench)"
   cmake --build build -j"$JOBS" --target bench_assert
   # min_time must be long enough for several iterations: a single cold
@@ -124,15 +120,17 @@ fi
 echo "== tsan: configure + build parallel suites"
 cmake -B build-tsan -S . -DCLASSIC_TSAN=ON > /dev/null
 cmake --build build-tsan -j"$JOBS" --target \
-  parallel_diff_test parallel_stress_test obs_parallel_test \
+  util_test parallel_diff_test parallel_stress_test obs_parallel_test \
   epoch_persistence_test serve_test propagate_stress_test \
   propagate_determinism_test planner_equivalence_test
 
+echo "== tsan: util_test (ThreadPool::ParallelFor completion latch)"
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/util_test
 echo "== tsan: parallel_diff_test"
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_diff_test
 echo "== tsan: parallel_stress_test"
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_stress_test
-echo "== tsan: propagate_stress_test (pooled wavefronts vs readers)"
+echo "== tsan: propagate_stress_test (bulk-load writer vs snapshot readers)"
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/propagate_stress_test
 echo "== tsan: propagate_determinism_test"
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/propagate_determinism_test

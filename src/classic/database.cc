@@ -5,23 +5,10 @@
 #include "query/path_query.h"
 #include "storage/snapshot.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace classic {
 
 Database::Database() = default;
-
-// Out of line: ~unique_ptr<ThreadPool> needs the complete type.
-Database::~Database() { kb_.SetPropagationPool(nullptr); }
-
-void Database::EnableParallelPropagation(size_t threads) {
-  kb_.SetPropagationPool(nullptr);
-  propagate_pool_.reset();
-  if (threads > 0) {
-    propagate_pool_ = std::make_unique<ThreadPool>(threads);
-    kb_.SetPropagationPool(propagate_pool_.get());
-  }
-}
 
 Result<DescPtr> Database::Parse(const std::string& text) const {
   auto& symbols = kb_.vocab().symbols();

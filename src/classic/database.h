@@ -17,7 +17,6 @@
 
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,18 +38,9 @@ namespace classic {
 class Database {
  public:
   Database();
-  ~Database();
 
   KnowledgeBase& kb() { return kb_; }
   const KnowledgeBase& kb() const { return kb_; }
-
-  /// \brief Routes the write-side propagation fixed point across an
-  /// internal pool of `threads` workers: independent role-graph
-  /// components of one mutation settle in parallel (kb/propagate.h).
-  /// Still single-writer — the parallelism is internal to each mutating
-  /// call, and derived state is byte-identical to serial propagation.
-  /// 0 tears the pool down (back to fully serial).
-  void EnableParallelPropagation(size_t threads);
 
   // --- Schema (DDL) -------------------------------------------------------
 
@@ -86,8 +76,7 @@ class Database {
   Status AssertInd(const std::string& name, DescPtr expression);
 
   /// \brief Bulk load: many assert-inds applied as ONE atomic update
-  /// whose descriptive parts settle in a single propagation wavefront
-  /// (partitioned across the pool when EnableParallelPropagation is on).
+  /// whose descriptive parts settle in a single propagation wavefront.
   /// CLOSE conjuncts apply in batch order after that settlement, so a
   /// batch is not always equivalent to the same asserts in sequence —
   /// see KnowledgeBase::AssertIndBatch. Logged as per-entry assert-ind
@@ -198,8 +187,6 @@ class Database {
   storage::OperationLog log_;
   /// Suppresses logging during replay.
   bool replaying_ = false;
-  /// Owned worker pool behind EnableParallelPropagation (kb_ borrows it).
-  std::unique_ptr<ThreadPool> propagate_pool_;
 };
 
 }  // namespace classic

@@ -6,12 +6,6 @@
 
 namespace classic {
 
-NormalFormStore::NormalFormStore(const NormalFormStore& other)
-    : buckets_(other.buckets_), forms_(other.forms_) {
-  hits_.store(other.hits(), std::memory_order_relaxed);
-  misses_.store(other.misses(), std::memory_order_relaxed);
-}
-
 NormalFormPtr NormalFormStore::Intern(NormalForm nf) {
   if (nf.incoherent()) {
     return std::make_shared<const NormalForm>(std::move(nf));

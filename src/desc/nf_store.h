@@ -37,9 +37,7 @@ class NormalFormStore {
  public:
   NormalFormStore() = default;
 
-  /// Deep copy (KB snapshot cloning); shares the immutable form objects.
-  /// The source must not be concurrently mutated during the copy.
-  NormalFormStore(const NormalFormStore& other);
+  NormalFormStore(const NormalFormStore&) = delete;
   NormalFormStore& operator=(const NormalFormStore&) = delete;
 
   /// \brief Interns `nf` (and, recursively, its value restrictions),

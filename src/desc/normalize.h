@@ -37,12 +37,6 @@ class Normalizer {
   Normalizer(Vocabulary* vocab, Options options)
       : vocab_(vocab), options_(options) {}
 
-  /// \brief Deep copy bound to a (cloned) vocabulary — KB snapshot
-  /// support. The hash-consing store is copied (sharing the immutable
-  /// form objects), so the clone's NfIds coincide with the source's.
-  Normalizer(const Normalizer& other, Vocabulary* vocab)
-      : vocab_(vocab), options_(other.options_), store_(other.store_) {}
-
   Normalizer(const Normalizer&) = delete;
   Normalizer& operator=(const Normalizer&) = delete;
 

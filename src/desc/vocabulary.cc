@@ -38,28 +38,6 @@ Vocabulary::Vocabulary() {
                            /*builtin=*/true});
 }
 
-Vocabulary::Vocabulary(const Vocabulary& other)
-    : symbols_(other.symbols_),
-      roles_(other.roles_),
-      role_by_name_(other.role_by_name_),
-      atoms_(other.atoms_),
-      plain_atom_by_index_(other.plain_atom_by_index_),
-      disjoint_atom_by_key_(other.disjoint_atom_by_key_),
-      group_of_index_(other.group_of_index_),
-      inds_(other.inds_),
-      ind_by_name_(other.ind_by_name_),
-      host_ind_by_value_(other.host_ind_by_value_),
-      concepts_(other.concepts_),
-      concept_by_name_(other.concept_by_name_),
-      tests_(other.tests_),
-      classic_thing_atom_(other.classic_thing_atom_),
-      host_thing_atom_(other.host_thing_atom_),
-      integer_atom_(other.integer_atom_),
-      real_atom_(other.real_atom_),
-      number_atom_(other.number_atom_),
-      string_atom_(other.string_atom_),
-      boolean_atom_(other.boolean_atom_) {}
-
 AtomId Vocabulary::AddAtom(AtomInfo info) const {
   AtomId id = static_cast<AtomId>(atoms_.size());
   atoms_.push_back(std::move(info));

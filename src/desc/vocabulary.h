@@ -112,9 +112,7 @@ class Vocabulary {
  public:
   Vocabulary();
 
-  /// Deep copy (KB snapshot cloning). The source must not be concurrently
-  /// mutated during the copy.
-  Vocabulary(const Vocabulary& other);
+  Vocabulary(const Vocabulary&) = delete;
   Vocabulary& operator=(const Vocabulary&) = delete;
 
   /// The symbol table is a logically-const interning cache: reading a

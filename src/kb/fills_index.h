@@ -23,8 +23,8 @@
 // them in O(delta), every published KbSnapshot sees an immutable index,
 // and concurrent readers go through CowMap::Find only. Maintenance
 // mirrors the referenced_by_ back-index exactly — every derived filler
-// addition passes through PropagationEngine::PropagateToFillers, which
-// is the single call site (see propagate.cc); retraction re-derives the
+// addition passes through Propagator::PropagateToFillers, which is the
+// single call site (see propagate.cc); retraction re-derives the
 // whole KB (RederiveAll), which clears and rebuilds the index, so
 // multiset retraction semantics hold by construction.
 

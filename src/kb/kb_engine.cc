@@ -255,14 +255,8 @@ KbEngine::KbEngine(Options options)
 
 KbEngine::~KbEngine() = default;
 
-void KbEngine::SetParallelMutation(bool enabled) {
-  parallel_mutation_ = enabled;
-  master_->SetPropagationPool(enabled ? &pool_ : nullptr);
-}
-
 SnapshotPtr KbEngine::Reset(std::unique_ptr<KnowledgeBase> master) {
   master_ = std::move(master);
-  master_->SetPropagationPool(parallel_mutation_ ? &pool_ : nullptr);
   {
     // A new master starts a new lineage; epochs retained from the old
     // one must not answer as-of queries for it.
@@ -282,7 +276,6 @@ SnapshotPtr KbEngine::PublishFrom(KnowledgeBase& source) {
   // the fresh clone's zeroed counters don't report the epoch as free.
   CLASSIC_OBS_COUNT_N(kPublishChunksCopied, source.TakeCowCopyCount());
   master_ = source.Clone();
-  master_->SetPropagationPool(parallel_mutation_ ? &pool_ : nullptr);
   return Publish();
 }
 

@@ -234,14 +234,6 @@ class KbEngine {
   /// are themselves atomic, so the master is still consistent).
   Status Mutate(const std::function<Status(KnowledgeBase*)>& fn);
 
-  /// \brief Lends the engine's thread pool to the master's propagation
-  /// engine: mutations partition their deduction wavefronts into
-  /// independent components and run them on the pool (kb/propagate.h).
-  /// Single-writer semantics are unchanged — the parallelism is internal
-  /// to one mutation, readers still only ever see published epochs.
-  /// Survives Reset/ResetFrom/PublishFrom (re-applied to the new master).
-  void SetParallelMutation(bool enabled);
-
   /// \brief Forks the master copy-on-write (O(delta) in the mutations
   /// since the previous publish — chunked stores share chunk
   /// directories, instance indexes share frozen delta layers), freezes
@@ -305,8 +297,6 @@ class KbEngine {
                                     const QueryRequest& request);
 
   std::unique_ptr<KnowledgeBase> master_;
-  /// Whether mutations may schedule propagation components on pool_.
-  bool parallel_mutation_ = false;
   std::atomic<uint64_t> epoch_counter_{0};
   /// Current epoch; written by Publish (writer), read by everyone.
   std::shared_ptr<const KbSnapshot> current_;

@@ -48,11 +48,10 @@ void SplitCloseConjuncts(const DescPtr& expr, std::vector<DescPtr>* rest,
 
 }  // namespace
 
-// The propagation machinery itself (wave-based worklist engine, component
-// partitioner, parallel scheduler) lives in kb/propagate.{h,cc}; one
-// Propagator instance runs one update to a fixed point, journaling every
-// touched structure so a detected inconsistency rolls the whole update
-// back (assert-ind is atomic).
+// The propagation machinery itself (the wave-based worklist engine) lives
+// in kb/propagate.{h,cc}; one Propagator instance runs one update to a
+// fixed point, journaling every touched structure so a detected
+// inconsistency rolls the whole update back (assert-ind is atomic).
 
 
 // ---------------------------------------------------------------------------
@@ -80,7 +79,6 @@ KnowledgeBase::KnowledgeBase(const KnowledgeBase& other)
       instances_(other.instances_.Fork()),
       rules_on_node_(other.rules_on_node_.Fork()),
       rules_(other.rules_),
-      rules_mention_inds_(other.rules_mention_inds_),
       referenced_by_(other.referenced_by_.Fork()),
       fills_index_(other.fills_index_.Fork()),
       stats_(other.stats_) {}
@@ -189,12 +187,6 @@ Result<size_t> KnowledgeBase::AssertRule(std::string_view antecedent_name,
   size_t idx = rules_.size();
   rules_.push_back({node, cid, consequent, nf});
   rules_on_node_.Mutable(node).push_back(idx);
-  // Latch the parallelism gate BEFORE firing: the immediate propagation
-  // below must already run serially if this consequent mentions
-  // individuals (see kb/propagate.h on why such rules defeat the
-  // component partition).
-  const bool gated_before = rules_mention_inds_;
-  if (MentionsIndividuals(*nf)) rules_mention_inds_ = true;
 
   // Fire immediately for current instances (complete propagation).
   std::vector<IndId> seeds(Instances(node).begin(), Instances(node).end());
@@ -203,7 +195,6 @@ Result<size_t> KnowledgeBase::AssertRule(std::string_view antecedent_name,
     if (!st.ok()) {
       rules_on_node_.Mutable(node).pop_back();
       rules_.pop_back();
-      rules_mention_inds_ = gated_before;
       return st.WithContext("rule rejected: firing it contradicts the DB");
     }
   }
@@ -242,7 +233,7 @@ Status KnowledgeBase::AssertInd(IndId ind, DescPtr expr) {
         StrCat("host individual ", vocab_->IndividualName(ind),
                " cannot be described (host individuals have no roles)"));
   }
-  Propagator prop(this, propagation_pool_);
+  Propagator prop(this);
   Status st = ApplyIndividualExpr(&prop, ind, expr);
   if (!st.ok()) {
     prop.RollbackAll();
@@ -267,14 +258,14 @@ Status KnowledgeBase::AssertIndBatch(
   }
 
   // Normalize every descriptive part up front, so the whole batch
-  // settles in one (partitionable) wavefront. CLOSE conjuncts are
-  // peeled off per entry and applied in batch order afterwards.
+  // settles in one wavefront. CLOSE conjuncts are peeled off per entry
+  // and applied in batch order afterwards.
   struct Entry {
     IndId ind;
     NormalFormPtr nf;  // null when the expression was pure CLOSE
     std::vector<Symbol> close_roles;
   };
-  Propagator prop(this, propagation_pool_);
+  Propagator prop(this);
   const IndId inds_before = static_cast<IndId>(vocab_->num_individuals());
   std::vector<Entry> entries;
   std::vector<std::pair<IndId, NormalFormPtr>> merges;
@@ -424,7 +415,7 @@ Status KnowledgeBase::RederiveAll() {
   referenced_by_.Clear();
   fills_index_.Clear();
 
-  Propagator prop(this, propagation_pool_);
+  Propagator prop(this);
   // Individuals with no assertions still need realization.
   std::vector<IndId> seeds;
   for (size_t i = 0; i < states_.size(); ++i) {
@@ -625,7 +616,7 @@ bool KnowledgeBase::SatisfiesImpl(
 }
 
 Status KnowledgeBase::Propagate(const std::vector<IndId>& seeds) {
-  Propagator prop(this, propagation_pool_);
+  Propagator prop(this);
   Status st = prop.Run(seeds, {});
   if (!st.ok()) prop.RollbackAll();
   return st;

@@ -50,9 +50,7 @@
 
 namespace classic {
 
-class PropagationEngine;
 class Propagator;
-class ThreadPool;
 
 /// \brief A forward-chaining rule: "if an individual is a <antecedent>
 /// then it is also a <consequent>" (paper Section 3.3). Rules are
@@ -180,12 +178,11 @@ class KnowledgeBase {
 
   /// \brief Bulk load: asserts many (individual, expression) pairs as
   /// ONE atomic update. All descriptive parts are normalized up front
-  /// and settle together in a single propagation wavefront (which the
-  /// worklist engine can partition across a thread pool — see
-  /// SetPropagationPool); CLOSE conjuncts are then applied in batch
-  /// order against that settled state, so "the fillers known at that
-  /// moment" means after the whole batch's descriptive fixed point. Any
-  /// contradiction rejects the entire batch atomically.
+  /// and settle together in a single propagation wavefront; CLOSE
+  /// conjuncts are then applied in batch order against that settled
+  /// state, so "the fillers known at that moment" means after the whole
+  /// batch's descriptive fixed point. Any contradiction rejects the
+  /// entire batch atomically.
   Status AssertIndBatch(const std::vector<std::pair<IndId, DescPtr>>& batch);
 
   /// \brief Retracts a previously asserted expression (matched
@@ -193,32 +190,19 @@ class KnowledgeBase {
   /// assertions. The paper's announced "destructive update" facility.
   Status RetractInd(IndId ind, const DescPtr& expr);
 
-  /// \brief Installs (or clears, with nullptr) the pool the propagation
-  /// engine may schedule independent role-graph components on. The pool
-  /// is borrowed, not owned, and is used strictly *inside* one mutating
-  /// call — the single-writer discipline is unchanged. Serial and
-  /// pooled propagation derive byte-identical state (propagation is a
-  /// confluent fixed point; see kb/propagate.h).
-  void SetPropagationPool(ThreadPool* pool) { propagation_pool_ = pool; }
-  ThreadPool* propagation_pool() const { return propagation_pool_; }
-
   /// \brief Re-runs propagation from every CLASSIC individual. The
   /// derived state is already a fixed point, so this is a (cheap)
   /// no-op on a consistent database — it exists so tools and tests can
   /// drive the worklist engine over the full role graph on demand.
   Status Repropagate();
 
-  /// \brief True iff some registered rule's consequent mentions
-  /// individuals (FILLS / ONE-OF); such rules can create role edges the
-  /// component partition cannot predict, so propagation stays serial.
-  bool rules_mention_individuals() const { return rules_mention_inds_; }
-
   /// \brief A canonical, byte-comparable rendering of ALL derived
   /// state: per individual the derived normal form, explicit closed
   /// roles, most-specific concepts and fired rules; then every taxonomy
   /// node's instance set. Two databases with the same vocabulary derive
   /// the same string iff their assertional fixed points coincide — the
-  /// determinism harness diffs this across serial and parallel runs.
+  /// determinism harness diffs this across assertion orders and bulk
+  /// loads.
   std::string CanonicalDerivedState() const;
 
   // --- Inspection ---------------------------------------------------------
@@ -296,7 +280,6 @@ class KnowledgeBase {
   Status Propagate(const std::vector<IndId>& seeds);
 
  private:
-  friend class PropagationEngine;
   friend class Propagator;
 
   /// Clone() plumbing: the structure-sharing copy behind epoch publishes.
@@ -365,13 +348,6 @@ class KnowledgeBase {
   mutable CowMap<NodeId, std::set<IndId>> instances_;
   mutable CowMap<NodeId, std::vector<size_t>> rules_on_node_;
   std::vector<Rule> rules_;
-  /// Latched when any rule consequent mentions individuals (see
-  /// rules_mention_individuals()); recomputed if a rule is rejected.
-  bool rules_mention_inds_ = false;
-  /// Borrowed worker pool for component-parallel propagation; nullptr =
-  /// always serial. Never copied into epoch clones (snapshots are
-  /// immutable and never propagate).
-  ThreadPool* propagation_pool_ = nullptr;
   /// Reverse filler index: who mentions ind as a filler (cascade
   /// reclassification).
   mutable CowMap<IndId, std::set<IndId>> referenced_by_;

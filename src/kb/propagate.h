@@ -1,53 +1,29 @@
-// The propagation engine: active deductions run to a fixed point, now as
-// an explicit dependency-worklist machine (DESIGN.md section 12).
+// The propagation engine: active deductions run to a fixed point as an
+// explicit dependency-worklist machine (DESIGN.md section 12).
 //
 // One update (assert-ind, a bulk batch, define-concept reclassification,
-// rule firing) seeds a wavefront. The Propagator partitions the seeds
-// into weakly-connected components of the individual role graph — the
-// closure over every individual mentioned anywhere in a derived normal
-// form (fillers at any nesting depth, enumeration members) plus the
-// reverse-filler index — and schedules independent components onto a
-// util::ThreadPool. Components are disjoint by construction, and every
-// state a component's fixed point can read or write lies inside its own
-// closure, so workers never synchronize with each other: each runs the
-// same serial wave engine the single-threaded path uses, journals its
-// writes for rollback, and stages its instance/reference index updates
-// for a serial commit after the join.
+// rule firing) seeds a wavefront. All individuals dirty at the start of
+// a wave are re-derived exactly once (a DynamicBitset dedupes
+// re-enqueues, so an individual re-normalizes at most once per
+// wavefront); the derivations they trigger form the next wave.
 //
-// Determinism argument (the property the test suite pins): propagation
-// is a monotone operator over a bounded lattice — derived forms only
-// gain conjuncts, recognition never retracts, each rule fires at most
-// once per individual — so the fixed point is *confluent*: any fair
-// processing order reaches the same least fixed point, and a
-// contradiction (incoherent meet) is derived under every order or none.
-// Partitioning therefore cannot change the result, only the schedule;
-// serial and N-thread propagation produce byte-identical canonical
-// derived state (tests/propagate_determinism_test.cc) and the same
-// accept/reject verdict.
-//
-// Two deliberate conservatisms keep the closure argument airtight:
-//
-//  - Host individuals never glue components: their derived state is
-//    intrinsic and immutable, so cross-component *reads* of a shared
-//    host filler are safe, and the one component that discovers an
-//    unclaimed host owns its (idempotent) realization.
-//  - A rule whose consequent mentions individuals could create a role
-//    edge between any two components when it fires, which the
-//    partition cannot predict; such a knowledge base propagates
-//    serially (KnowledgeBase tracks the gate on assert-rule).
+// Confluence (the property the test suite pins): propagation is a
+// monotone operator over a bounded lattice — derived forms only gain
+// conjuncts, recognition never retracts, each rule fires at most once
+// per individual — so any fair processing order reaches the same least
+// fixed point, and a contradiction (incoherent meet) is derived under
+// every order or none. Asserting the same facts one at a time, in
+// another order, or as one bulk batch yields byte-identical canonical
+// derived state (tests/propagate_determinism_test.cc).
 //
 // Rollback: every touched individual's pre-state is journaled on first
-// touch (per update, across all phases and components); on
-// inconsistency the Propagator restores the journal and erases the
-// applied index insertions, so no partial derived state survives —
-// in-flight components run to their own (bounded) fixed point and are
-// then discarded wholesale, which also keeps the reported error
-// deterministic.
+// touch (per update, across all phases); on inconsistency the
+// Propagator restores the journal and erases the applied index
+// insertions, so no partial derived state survives.
 
 #pragma once
 
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -57,150 +33,13 @@
 
 namespace classic {
 
-class ThreadPool;
-
-/// \brief True iff the normal form mentions any individual at any
-/// nesting depth: role fillers, fillers inside value restrictions,
-/// enumeration members. Used for the rule-consequent parallelism gate
-/// and the component closure scan.
-bool MentionsIndividuals(const NormalForm& nf);
-
-/// \brief Appends every individual the form mentions (any depth) to
-/// `out`, in deterministic scan order. May contain duplicates.
-void CollectMentionedIndividuals(const NormalForm& nf,
-                                 std::vector<IndId>* out);
-
-/// \brief Everything one update wrote, for atomic rollback. Shared by
-/// all phases of one logical update (descriptive wave, CLOSE waves,
-/// every parallel component), so a late contradiction unwinds the whole
-/// update.
-struct PropagationJournal {
-  /// Pre-update state of every touched individual (first touch wins).
-  std::map<IndId, IndividualState> undo;
-  /// (node, ind) pairs actually inserted into the instance index.
-  std::vector<std::pair<NodeId, IndId>> instance_inserts;
-  /// (filler, host) pairs actually inserted into the reverse index.
-  std::vector<std::pair<IndId, IndId>> refs_added;
-  /// (posting key, host) pairs actually inserted into the fills index
-  /// (the key packs role and filler; see FillsIndex::Key).
-  std::vector<std::pair<uint64_t, IndId>> postings_added;
-};
-
-/// \brief The wave-based worklist engine. Runs one region (the whole
-/// database, or one connected component) to a fixed point.
-///
-/// The worklist is processed in wavefronts: all individuals dirty at
-/// the start of a wave are re-derived exactly once (a DynamicBitset
-/// dedupes re-enqueues, so an individual re-normalizes at most once per
-/// wavefront); derivations they trigger form the next wave.
-///
-/// Unscoped engines (scope == nullptr) write the instance/reference
-/// indexes directly, journaling for rollback — the serial path.
-/// Scoped engines are confined to one component: they write individual
-/// states in place (the Propagator pre-owns the underlying chunks), but
-/// *stage* index updates locally; the Propagator commits stages
-/// serially after the parallel join. A scoped engine that would touch
-/// an individual outside its scope defers the work instead (pending
-/// merges/seeds), which the Propagator drains serially — a defensive
-/// path the closure construction should make unreachable.
-class PropagationEngine {
- public:
-  PropagationEngine(KnowledgeBase* kb, PropagationJournal* journal,
-                    const DynamicBitset* scope = nullptr);
-
-  /// Marks an individual dirty for the next wavefront.
-  void Enqueue(IndId ind);
-
-  /// Merges extra knowledge into an individual's derived state;
-  /// enqueues it (and its referencers) if anything changed.
-  Status MergeInto(IndId ind, const NormalForm& nf);
-
-  /// Drains wavefronts to the fixed point. May be called repeatedly on
-  /// one engine (the CLOSE phases re-enter with new merges).
-  Status Run();
-
-  // --- Scoped-mode staging (committed by the Propagator) -------------------
-
-  const std::set<std::pair<NodeId, IndId>>& staged_instances() const {
-    return staged_instances_;
-  }
-  const std::map<IndId, std::set<IndId>>& staged_refs() const {
-    return staged_refs_;
-  }
-  const std::map<uint64_t, std::set<IndId>>& staged_postings() const {
-    return staged_postings_;
-  }
-  const std::vector<std::pair<IndId, NormalFormPtr>>& pending_merges() const {
-    return pending_merges_;
-  }
-  const std::vector<IndId>& pending_seeds() const { return pending_seeds_; }
-
-  // --- Worklist statistics -------------------------------------------------
-
-  size_t waves() const { return waves_; }
-  size_t max_wave() const { return max_wave_; }
-  size_t dedup_hits() const { return dedup_hits_; }
-  // KbStats deltas, accumulated locally so worker engines never write the
-  // shared (non-atomic) stats block; the Propagator folds them back in on
-  // the writer thread after the join.
-  size_t steps() const { return steps_; }
-  size_t realizations() const { return realizations_; }
-  size_t rule_firings() const { return rule_firings_; }
-
- private:
-  /// Journals (first touch) and returns a writable state record.
-  IndividualState& Touch(IndId ind);
-
-  /// One worklist step: re-derive everything about one individual.
-  Status Step(IndId ind);
-  Status PropagateToFillers(IndId ind);
-  Status PropagateCoref(IndId ind);
-  void Realize(IndId ind);
-  Status FireRules(IndId ind);
-
-  /// Adds host to the reverse-filler index of filler (direct when
-  /// unscoped, staged when scoped). True iff the pair was new.
-  bool AddReference(IndId filler, IndId host);
-
-  /// Records host's derived (role, filler) in the filler-inverted
-  /// postings (direct when unscoped, staged when scoped). Same single
-  /// call site as AddReference, so the index is complete for the same
-  /// reason the reverse index is.
-  void AddPosting(RoleId role, IndId filler, IndId host);
-
-  KnowledgeBase* kb_;
-  PropagationJournal* journal_;
-  /// Component membership; nullptr = unscoped (whole database).
-  const DynamicBitset* scope_;
-
-  /// Next wavefront, with its dirty-bit dedupe set.
-  std::vector<IndId> next_;
-  DynamicBitset queued_;
-
-  /// Scoped-mode staging.
-  std::set<std::pair<NodeId, IndId>> staged_instances_;
-  std::map<IndId, std::set<IndId>> staged_refs_;
-  std::map<uint64_t, std::set<IndId>> staged_postings_;
-  std::vector<std::pair<IndId, NormalFormPtr>> pending_merges_;
-  std::vector<IndId> pending_seeds_;
-
-  size_t waves_ = 0;
-  size_t max_wave_ = 0;
-  size_t dedup_hits_ = 0;
-  size_t steps_ = 0;
-  size_t realizations_ = 0;
-  size_t rule_firings_ = 0;
-};
-
-/// \brief Orchestrates one logical update: seed dedupe, component
-/// partitioning, parallel scheduling, staged commit, and whole-update
-/// rollback. One Propagator lives for one update (possibly several
-/// phases); its journal accumulates across phases.
+/// \brief Runs one logical update to a fixed point and rolls it back
+/// atomically on contradiction. One Propagator lives for one update,
+/// which may span several phases (the descriptive wave, then one wave
+/// per CLOSE conjunct); its journal accumulates across phases.
 class Propagator {
  public:
-  /// `pool` may be null (always serial). The pool is only consulted
-  /// when a run has enough independent components to be worth forking.
-  Propagator(KnowledgeBase* kb, ThreadPool* pool);
+  explicit Propagator(KnowledgeBase* kb);
 
   /// Runs one propagation phase to the fixed point: `merges` are
   /// applied first (in order), then `seeds` are enqueued (deduplicated,
@@ -214,27 +53,42 @@ class Propagator {
   void RollbackAll();
 
  private:
-  struct Component {
-    std::vector<IndId> members;  // discovery order; defines the scope
-    DynamicBitset scope;
-    std::vector<IndId> seeds;
-    std::vector<std::pair<IndId, NormalFormPtr>> merges;
+  /// Everything one update wrote, for atomic rollback.
+  struct Journal {
+    /// Pre-update state of every touched individual (first touch wins).
+    std::map<IndId, IndividualState> undo;
+    /// (node, ind) pairs actually inserted into the instance index.
+    std::vector<std::pair<NodeId, IndId>> instance_inserts;
+    /// (filler, host) pairs actually inserted into the reverse index.
+    std::vector<std::pair<IndId, IndId>> refs_added;
+    /// (posting key, host) pairs actually inserted into the fills index
+    /// (the key packs role and filler; see FillsIndex::Key).
+    std::vector<std::pair<uint64_t, IndId>> postings_added;
   };
 
-  /// Serial fallback / small-update fast path.
-  Status RunSerial(const std::vector<IndId>& seeds,
-                   const std::vector<std::pair<IndId, NormalFormPtr>>& merges,
-                   size_t* waves, size_t* max_wave);
+  /// Marks an individual dirty for the next wavefront.
+  void Enqueue(IndId ind);
 
-  /// Weakly-connected-component closure over the role graph, from the
-  /// seeds/merge targets. Returns components in deterministic order.
-  std::vector<Component> Partition(
-      const std::vector<IndId>& seeds,
-      const std::vector<std::pair<IndId, NormalFormPtr>>& merges) const;
+  /// Merges extra knowledge into an individual's derived state;
+  /// enqueues it (and its referencers) if anything changed.
+  Status MergeInto(IndId ind, const NormalForm& nf);
+
+  /// Journals (first touch) and returns a writable state record.
+  IndividualState& Touch(IndId ind);
+
+  /// One worklist step: re-derive everything about one individual.
+  Status Step(IndId ind);
+  Status PropagateToFillers(IndId ind);
+  Status PropagateCoref(IndId ind);
+  void Realize(IndId ind);
+  Status FireRules(IndId ind);
 
   KnowledgeBase* kb_;
-  ThreadPool* pool_;
-  PropagationJournal journal_;
+  Journal journal_;
+
+  /// Next wavefront, with its dirty-bit dedupe set.
+  std::vector<IndId> next_;
+  DynamicBitset queued_;
 };
 
 }  // namespace classic

@@ -24,7 +24,6 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "publish-bytes-shared",
     "serve-accepted",
     "serve-shed",
-    "propagation-components",
     "propagation-wavefronts",
     "propagation-dedup-hits",
     "propagation-max-wavefront",

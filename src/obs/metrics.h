@@ -96,9 +96,6 @@ enum class Counter : uint32_t {
   /// in-flight bound, so the server answered with a typed `overloaded`
   /// error frame instead of queueing unboundedly.
   kServeShed,
-  /// Role-graph components scheduled by the propagation engine (1 per
-  /// serial run; the independent-component count per parallel run).
-  kPropagationComponents,
   /// Wavefronts drained by the propagation engine (each individual is
   /// re-derived at most once per wavefront).
   kPropagationWavefronts,
@@ -155,8 +152,8 @@ enum class Op : uint32_t {
   /// Serving-front-end queue wait: decode of a request frame to the start
   /// of its batch dispatch (src/serve admission + batching delay).
   kServeQueueWait,
-  /// One propagation run to its fixed point (serial or partitioned),
-  /// excluding normalization of the asserted expression.
+  /// One propagation run to its fixed point, excluding normalization of
+  /// the asserted expression.
   kPropagate,
   kCount
 };

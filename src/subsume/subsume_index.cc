@@ -11,23 +11,6 @@ SubsumptionIndex::Table::Table(size_t capacity)
   }
 }
 
-SubsumptionIndex::SubsumptionIndex(const SubsumptionIndex& other) {
-  const Table* src = other.live_.load(std::memory_order_acquire);
-  if (src == nullptr) return;
-  auto copy = std::make_unique<Table>(src->mask + 1);
-  size_t n = 0;
-  for (size_t i = 0; i <= src->mask; ++i) {
-    const uint64_t key = src->keys[i].load(std::memory_order_relaxed);
-    if (key == kEmptyKey) continue;
-    copy->vals[i] = src->vals[i];
-    copy->keys[i].store(key, std::memory_order_relaxed);
-    ++n;
-  }
-  size_.store(n, std::memory_order_relaxed);
-  live_.store(copy.get(), std::memory_order_release);
-  generations_.push_back(std::move(copy));
-}
-
 std::optional<bool> SubsumptionIndex::Lookup(NfId general,
                                              NfId specific) const {
   const Table* t = live_.load(std::memory_order_acquire);

@@ -40,9 +40,7 @@ class SubsumptionIndex {
  public:
   SubsumptionIndex() = default;
 
-  /// Deep copy (KB snapshot cloning). The source must not be concurrently
-  /// mutated during the copy (the engine clones its private master).
-  SubsumptionIndex(const SubsumptionIndex& other);
+  SubsumptionIndex(const SubsumptionIndex&) = delete;
   SubsumptionIndex& operator=(const SubsumptionIndex&) = delete;
 
   /// \brief Cached verdict for "general subsumes specific", if known.

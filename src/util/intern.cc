@@ -4,9 +4,6 @@
 
 namespace classic {
 
-SymbolTable::SymbolTable(const SymbolTable& other)
-    : names_(other.names_), ids_(other.ids_) {}
-
 Symbol SymbolTable::Intern(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = ids_.find(std::string(name));

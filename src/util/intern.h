@@ -36,9 +36,7 @@ class SymbolTable {
  public:
   SymbolTable() = default;
 
-  /// Deep copy (used when a KB master is cloned into a snapshot). The
-  /// source must not be concurrently mutated.
-  SymbolTable(const SymbolTable& other);
+  SymbolTable(const SymbolTable&) = delete;
   SymbolTable& operator=(const SymbolTable&) = delete;
 
   /// \brief Interns `name`, returning its stable id (existing or new).

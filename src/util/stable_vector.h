@@ -38,24 +38,12 @@ class StableVector {
  public:
   StableVector() = default;
 
-  /// Deep copy. The source must not be concurrently mutated (clones are
-  /// taken by the single writer of its private copy).
-  StableVector(const StableVector& other) {
-    const size_t n = other.size();
-    for (size_t i = 0; i < n; ++i) push_back(other[i]);
+  StableVector(const StableVector&) = delete;
+  StableVector& operator=(const StableVector&) = delete;
+
+  ~StableVector() {
+    for (auto& slot : chunks_) delete[] slot.load(std::memory_order_relaxed);
   }
-
-  StableVector& operator=(const StableVector& other) {
-    if (this == &other) return *this;
-    Clear();
-    const size_t n = other.size();
-    for (size_t i = 0; i < n; ++i) push_back(other[i]);
-    return *this;
-  }
-
-  StableVector(StableVector&&) = delete;
-
-  ~StableVector() { Clear(); }
 
   /// Number of fully published elements (acquire: pairs with the release
   /// in push_back, making the elements themselves visible).
@@ -107,14 +95,6 @@ class StableVector {
     const size_t c = ChunkIndex(i);
     T* chunk = chunks_[c].load(std::memory_order_relaxed);
     return chunk[i - ChunkBase(c)];
-  }
-
-  void Clear() {
-    for (auto& slot : chunks_) {
-      delete[] slot.load(std::memory_order_relaxed);
-      slot.store(nullptr, std::memory_order_relaxed);
-    }
-    size_.store(0, std::memory_order_relaxed);
   }
 
   std::array<std::atomic<T*>, kMaxChunks> chunks_{};

@@ -47,12 +47,13 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
 
-  // Shared per-call state lives on this stack frame; the final worker to
-  // finish signals completion before the frame unwinds (done is checked
-  // under the latch mutex).
+  // Shared per-call state lives on this stack frame. `active` is only
+  // touched under `m`: the caller returns (destroying the Latch) as soon
+  // as it observes zero, so the last helper must decrement and notify
+  // before it releases the mutex, never after.
   struct Latch {
     std::atomic<size_t> next{0};
-    std::atomic<size_t> active{0};
+    size_t active = 0;
     std::mutex m;
     std::condition_variable cv;
   } latch;
@@ -63,21 +64,17 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
       if (i >= n) break;
       fn(i);
     }
-    if (latch.active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(latch.m);
-      latch.cv.notify_all();
-    }
+    std::lock_guard<std::mutex> lock(latch.m);
+    if (--latch.active == 0) latch.cv.notify_all();
   };
 
   const size_t helpers = workers_.size() < n ? workers_.size() : n;
-  latch.active.store(helpers + 1, std::memory_order_relaxed);
+  latch.active = helpers + 1;
   for (size_t w = 0; w < helpers; ++w) Submit(run);
   run();  // the caller works too
 
   std::unique_lock<std::mutex> lock(latch.m);
-  latch.cv.wait(lock, [&latch] {
-    return latch.active.load(std::memory_order_acquire) == 0;
-  });
+  latch.cv.wait(lock, [&latch] { return latch.active == 0; });
 }
 
 }  // namespace classic

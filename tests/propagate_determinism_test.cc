@@ -1,23 +1,25 @@
-// Serial-vs-parallel propagation determinism harness.
+// Propagation determinism harness: atomic rollback and order confluence.
 //
-// The contract under test (kb/propagate.h): partitioning a propagation
-// wavefront into weakly-connected components and scheduling them on a
-// thread pool changes only the *schedule*, never the *result*. Deduction
-// in CLASSIC is monotone over a bounded lattice (paper Section 5:
-// "every individual can move into a class at most once"), so the fixed
-// point is confluent — any admissible execution order lands on the same
-// derived state.
+// The contract under test (kb/propagate.h): deduction in CLASSIC is
+// monotone over a bounded lattice (paper Section 5: "every individual
+// can move into a class at most once"), so the fixed point is confluent —
+// any admissible processing order lands on the same derived state — and a
+// rejected update leaves no trace.
 //
-// The harness generates 200 seeded random knowledge bases across the
-// role-graph shapes the partitioner has to get right — chains, stars,
-// cliques, disconnected islands, uniform random graphs — spiked with
-// forward rules (including individual-mentioning consequents, which must
-// take the engine's serial gate), SAME-AS merges through single-valued
-// attributes, and deliberately contradictory bounds. Each KB is built
-// once serially and once per pool size {1, 2, 8}; every variant must
-// produce the same per-operation ok/fail verdicts, byte-identical
-// canonical derived state (derived normal forms, closed roles, MSC sets,
-// fired rules, instance indexes) and identical propagation-step counts.
+// The harness generates 200 seeded random knowledge bases across
+// role-graph shapes — chains, stars, cliques, disconnected islands,
+// uniform random graphs — spiked with forward rules (including an
+// individual-mentioning consequent), SAME-AS merges through single-valued
+// attributes, and deliberately contradictory bounds. Each program is
+// asserted one operation at a time, and two properties must hold:
+//
+//  (a) rollback: after every rejected AssertInd — including those
+//      rejected mid-wavefront, after recognition and rule firing — the
+//      canonical derived state (derived normal forms, closed roles, MSC sets, fired rules,
+//      instance indexes) is byte-identical to its value before the call;
+//  (b) confluence: the accepted operations, replayed into a fresh
+//      database in two other seeded orders and as one BulkAssert batch,
+//      are all accepted again and derive byte-identical canonical state.
 
 #include <gtest/gtest.h>
 
@@ -40,20 +42,29 @@ enum class Shape { kChain, kStar, kClique, kIslands, kRandom };
 const Shape kShapes[] = {Shape::kChain, Shape::kStar, Shape::kClique,
                          Shape::kIslands, Shape::kRandom};
 
+using Program = std::vector<std::pair<std::string, std::string>>;
+
 struct TrialSpec {
   uint64_t seed = 0;
   Shape shape = Shape::kChain;
-  bool with_rules = false;    // concept-consequent rules (parallel-safe)
-  bool with_ind_rule = false; // FILLS-consequent rule (forces serial gate)
-  bool use_bulk = false;      // one BulkAssert batch vs incremental asserts
+  bool with_rules = false;     // concept-consequent rules
+  bool with_ind_rule = false;  // FILLS-consequent rule (mentions I0)
 };
 
-struct TrialOutcome {
-  std::string ok_bits;  // '1'/'0' per operation, in program order
-  std::string dump;     // canonical derived state at the end
-  uint64_t steps = 0;   // KbStats::propagation_steps
-  bool all_ok() const { return ok_bits.find('0') == std::string::npos; }
+// One generated knowledge base: how many individuals it creates, and the
+// assertion program run against them.
+struct Trial {
+  size_t num_inds = 0;
+  Program program;
 };
+
+std::string IndName(size_t i) { return StrCat("I", i); }
+
+void Shuffle(Program* program, Rng* rng) {
+  for (size_t i = program->size(); i > 1; --i) {
+    std::swap((*program)[i - 1], (*program)[rng->Below(i)]);
+  }
+}
 
 // Role edges (from, to) over n individuals for one graph shape.
 std::vector<std::pair<size_t, size_t>> MakeEdges(Shape shape, size_t n,
@@ -64,8 +75,9 @@ std::vector<std::pair<size_t, size_t>> MakeEdges(Shape shape, size_t n,
       for (size_t i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
       break;
     case Shape::kStar:
-      // Half the spokes point at the hub, half away: the component
-      // closure must glue both directions through referenced_by_.
+      // Half the spokes point at the hub, half away: cascades must
+      // travel both ways, forward along fillers and back through
+      // referenced_by_.
       for (size_t i = 1; i < n; ++i) {
         if (i % 2 == 0) {
           edges.emplace_back(0, i);
@@ -87,7 +99,7 @@ std::vector<std::pair<size_t, size_t>> MakeEdges(Shape shape, size_t n,
       break;
     case Shape::kIslands:
       // Blocks of 4, a random in-block target per individual — many
-      // small components, the partitioner's best case.
+      // small independent components.
       for (size_t i = 0; i < n; ++i) {
         const size_t lo = (i / 4) * 4;
         const size_t hi = std::min(lo + 4, n);
@@ -103,92 +115,102 @@ std::vector<std::pair<size_t, size_t>> MakeEdges(Shape shape, size_t n,
   return edges;
 }
 
-TrialOutcome RunTrial(const TrialSpec& spec, size_t threads) {
-  Database db;
-  if (threads > 0) db.EnableParallelPropagation(threads);
-  TrialOutcome out;
-
+Trial MakeTrial(const TrialSpec& spec) {
+  Trial trial;
   Rng rng(spec.seed);
-  // Small schema with enough structure for ALL-propagation, bounds,
-  // realization and attribute-driven merges.
-  for (int i = 0; i < 3; ++i) {
-    Must(db.DefineRole(StrCat("r", i)));
-  }
-  Must(db.DefineAttribute("a0"));
-  for (int i = 0; i < 4; ++i) {
-    Must(db.DefineConcept(StrCat("P", i),
-                          StrCat("(PRIMITIVE CLASSIC-THING p", i, ")")));
-  }
-  Must(db.DefineConcept("D0", "(AND P0 (ALL r0 P1))"));
-  Must(db.DefineConcept("D1", "(AND P1 (AT-LEAST 1 r1))"));
-  if (spec.with_rules) {
-    Must(db.AssertRule("P1", "(ALL r1 P2)"));
-    Must(db.AssertRule("P3", "D0"));
-  }
-
   const size_t n = 16 + rng.Below(33);  // 16..48 individuals
-  std::vector<std::string> names;
-  names.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    names.push_back(StrCat("I", i));
-    Must(db.CreateIndividual(names.back()));
-  }
-  if (spec.with_ind_rule) {
-    // The consequent mentions an individual, so firing it creates role
-    // edges no up-front partition can predict; the engine must fall
-    // back to serial — and still match byte-for-byte.
-    Must(db.AssertRule("P0", StrCat("(FILLS r1 ", names[0], ")")));
-  }
+  trial.num_inds = n;
 
   // Assertion program: shape edges plus sprinkled memberships, value
-  // restrictions, bounds (sometimes contradictory) and attribute fills
-  // (two distinct a0 fillers on one owner force a SAME-AS merge).
-  std::vector<std::pair<std::string, std::string>> program;
+  // restrictions, bounds (sometimes contradictory, sometimes only one
+  // role step away) and attribute fills (two distinct a0 fillers on one
+  // owner force a SAME-AS merge).
+  Program& program = trial.program;
   for (const auto& [from, to] : MakeEdges(spec.shape, n, &rng)) {
     program.emplace_back(
-        names[from], StrCat("(FILLS r", rng.Below(2), " ", names[to], ")"));
+        IndName(from), StrCat("(FILLS r", rng.Below(2), " ", IndName(to), ")"));
   }
-  for (const std::string& name : names) {
+  for (size_t i = 0; i < n; ++i) {
+    const std::string name = IndName(i);
     if (rng.Chance(0.6)) program.emplace_back(name, StrCat("P", rng.Below(4)));
     if (rng.Chance(0.2)) program.emplace_back(name, "D0");
     if (rng.Chance(0.15)) program.emplace_back(name, "(ALL r0 P1)");
     if (rng.Chance(0.08)) {
       // Tight bound: contradicts when the individual already carries
-      // more fillers. Both rejection and acceptance must be identical
-      // across schedules.
+      // more fillers.
       program.emplace_back(name, StrCat("(AT-MOST ", rng.Below(2), " r0)"));
     }
+    if (rng.Chance(0.1)) program.emplace_back(name, "D2");
   }
   for (int k = 0; k < 3; ++k) {
     if (rng.Chance(0.5)) {
-      const std::string& owner = names[rng.Below(n)];
-      program.emplace_back(owner, StrCat("(FILLS a0 ", names[rng.Below(n)],
-                                         ")"));
-      program.emplace_back(owner, StrCat("(FILLS a0 ", names[rng.Below(n)],
-                                         ")"));
+      const std::string owner = IndName(rng.Below(n));
+      program.emplace_back(owner,
+                           StrCat("(FILLS a0 ", IndName(rng.Below(n)), ")"));
+      program.emplace_back(owner,
+                           StrCat("(FILLS a0 ", IndName(rng.Below(n)), ")"));
     }
   }
-  // Seed-driven order: determinism may not depend on assertion order
+  // Seed-driven order: the properties may not depend on assertion order
   // being favorable.
-  for (size_t i = program.size(); i > 1; --i) {
-    std::swap(program[i - 1], program[rng.Below(i)]);
-  }
-
-  if (spec.use_bulk) {
-    out.ok_bits.push_back(db.BulkAssert(program).ok() ? '1' : '0');
-  } else {
-    for (const auto& [name, expr] : program) {
-      out.ok_bits.push_back(db.AssertInd(name, expr).ok() ? '1' : '0');
-    }
-  }
-  out.dump = db.kb().CanonicalDerivedState();
-  out.steps = db.kb().stats().propagation_steps;
-  return out;
+  Shuffle(&program, &rng);
+  return trial;
 }
 
-TEST(PropagateDeterminism, SerialMatchesParallelAcross200RandomKbs) {
+// Schema, rules and individuals, identical for every run of one trial so
+// canonical dumps are comparable across databases. Small schema with
+// enough structure for ALL-propagation, bounds, realization and
+// attribute-driven merges. D2 contradicts one role step away (an r0
+// filler with r0 fillers of its own), so some updates are rejected
+// mid-wavefront, after other individuals have already changed; through
+// the P2 rule the contradiction lands a wave after recognition and rule
+// firing, so rollback must also undo instance-index inserts and
+// fired-rule marks.
+void SetUpTrial(const TrialSpec& spec, size_t num_inds, Database* db) {
+  for (int i = 0; i < 3; ++i) Must(db->DefineRole(StrCat("r", i)));
+  Must(db->DefineAttribute("a0"));
+  for (int i = 0; i < 4; ++i) {
+    Must(db->DefineConcept(StrCat("P", i),
+                           StrCat("(PRIMITIVE CLASSIC-THING p", i, ")")));
+  }
+  Must(db->DefineConcept("D0", "(AND P0 (ALL r0 P1))"));
+  Must(db->DefineConcept("D1", "(AND P1 (AT-LEAST 1 r1))"));
+  Must(db->DefineConcept("D2", "(AND P2 (ALL r0 (AT-MOST 0 r0)))"));
+  if (spec.with_rules) {
+    Must(db->AssertRule("P1", "(ALL r1 P2)"));
+    Must(db->AssertRule("P2", "D2"));
+    Must(db->AssertRule("P3", "D0"));
+  }
+  for (size_t i = 0; i < num_inds; ++i) Must(db->CreateIndividual(IndName(i)));
+  if (spec.with_ind_rule) {
+    // Firing this rule adds role edges no assertion states directly.
+    Must(db->AssertRule("P0", StrCat("(FILLS r1 ", IndName(0), ")")));
+  }
+}
+
+// Replays `ops` into a fresh database of the same trial — one AssertInd
+// at a time, or as one BulkAssert batch — and returns its canonical
+// derived state. Every operation must be accepted.
+std::string Replay(const TrialSpec& spec, size_t num_inds, const Program& ops,
+                   bool bulk, const std::string& where) {
+  Database db;
+  SetUpTrial(spec, num_inds, &db);
+  if (bulk) {
+    Status st = db.BulkAssert(ops);
+    EXPECT_TRUE(st.ok()) << where << ": " << st.ToString();
+  } else {
+    for (const auto& [name, expr] : ops) {
+      Status st = db.AssertInd(name, expr);
+      EXPECT_TRUE(st.ok()) << where << ": " << name << " " << expr << ": "
+                           << st.ToString();
+    }
+  }
+  return db.kb().CanonicalDerivedState();
+}
+
+TEST(PropagateDeterminism, RollbackAndOrderConfluenceAcross200RandomKbs) {
   size_t trials = 0;
-  size_t rejections = 0;
+  size_t rejected_ops = 0;
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     for (Shape shape : kShapes) {
       TrialSpec spec;
@@ -196,35 +218,45 @@ TEST(PropagateDeterminism, SerialMatchesParallelAcross200RandomKbs) {
       spec.shape = shape;
       spec.with_rules = (seed % 2) == 0;
       spec.with_ind_rule = (seed % 8) == 0;
-      spec.use_bulk = (seed % 4) < 2;
-      const TrialOutcome serial = RunTrial(spec, 0);
+      const std::string where =
+          StrCat("seed=", spec.seed, " shape=", static_cast<int>(shape));
+      const Trial trial = MakeTrial(spec);
+
+      // (a) Every rejected operation leaves the derived state untouched.
+      Database db;
+      SetUpTrial(spec, trial.num_inds, &db);
       if (HasFatalFailure()) return;
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-        const TrialOutcome par = RunTrial(spec, threads);
-        if (HasFatalFailure()) return;
-        const std::string where =
-            StrCat("seed=", spec.seed, " shape=",
-                   static_cast<int>(shape), " threads=", threads,
-                   spec.use_bulk ? " bulk" : " incremental");
-        ASSERT_EQ(serial.ok_bits, par.ok_bits) << where;
-        ASSERT_EQ(serial.dump, par.dump) << where;
-        // Step counts are schedule-independent on the success path
-        // (serial wave k is exactly the union of the components' wave
-        // k's). After a rejection, serial stops at the first
-        // contradiction while parallel lets sibling components finish
-        // their fixed points before rolling back, so only the *state*
-        // is pinned there, not the work counter.
-        if (serial.all_ok()) {
-          ASSERT_EQ(serial.steps, par.steps) << where;
+      Program accepted;
+      for (const auto& op : trial.program) {
+        const std::string before = db.kb().CanonicalDerivedState();
+        if (db.AssertInd(op.first, op.second).ok()) {
+          accepted.push_back(op);
+          continue;
         }
+        ++rejected_ops;
+        ASSERT_EQ(before, db.kb().CanonicalDerivedState())
+            << where << ": rejected " << op.first << " " << op.second;
       }
-      if (!serial.all_ok()) ++rejections;
+      const std::string expected = db.kb().CanonicalDerivedState();
+
+      // (b) The accepted subset is order- and batching-independent.
+      for (uint64_t k = 1; k <= 2; ++k) {
+        Program reordered = accepted;
+        Rng order_rng(spec.seed + k);
+        Shuffle(&reordered, &order_rng);
+        ASSERT_EQ(expected, Replay(spec, trial.num_inds, reordered,
+                                   /*bulk=*/false, StrCat(where, " order=", k)))
+            << where << " order=" << k;
+      }
+      ASSERT_EQ(expected, Replay(spec, trial.num_inds, accepted,
+                                 /*bulk=*/true, StrCat(where, " bulk")))
+          << where << " bulk";
       ++trials;
     }
   }
   EXPECT_EQ(trials, 200u);
   // The program generator must actually exercise the rollback path.
-  EXPECT_GT(rejections, 10u);
+  EXPECT_GT(rejected_ops, 500u);
 }
 
 // Duplicate seeds in one wavefront used to cost a full re-derivation
@@ -255,26 +287,23 @@ TEST(PropagateDeterminism, DuplicateSeedsAreDeduped) {
 }
 
 // Repropagate() from quiescence is a no-op on derived state: the fixed
-// point is already reached, serial or parallel.
+// point is already reached.
 TEST(PropagateDeterminism, RepropagationIsIdempotent) {
-  for (size_t threads : {size_t{0}, size_t{4}}) {
-    Database db;
-    if (threads > 0) db.EnableParallelPropagation(threads);
-    Must(db.DefineRole("r0"));
-    Must(db.DefineConcept("P0", "(PRIMITIVE CLASSIC-THING p0)"));
-    Must(db.DefineConcept("D0", "(AND P0 (ALL r0 P0))"));
-    for (int i = 0; i < 12; ++i) {
-      Must(db.CreateIndividual(StrCat("I", i)));
-    }
-    for (int i = 0; i < 12; ++i) {
-      Must(db.AssertInd(StrCat("I", i),
-                        StrCat("(FILLS r0 I", (i + 1) % 12, ")")));
-    }
-    Must(db.AssertInd("I0", "D0"));
-    const std::string before = db.kb().CanonicalDerivedState();
-    Must(db.kb().Repropagate());
-    EXPECT_EQ(before, db.kb().CanonicalDerivedState()) << "threads=" << threads;
+  Database db;
+  Must(db.DefineRole("r0"));
+  Must(db.DefineConcept("P0", "(PRIMITIVE CLASSIC-THING p0)"));
+  Must(db.DefineConcept("D0", "(AND P0 (ALL r0 P0))"));
+  for (int i = 0; i < 12; ++i) {
+    Must(db.CreateIndividual(StrCat("I", i)));
   }
+  for (int i = 0; i < 12; ++i) {
+    Must(db.AssertInd(StrCat("I", i),
+                      StrCat("(FILLS r0 I", (i + 1) % 12, ")")));
+  }
+  Must(db.AssertInd("I0", "D0"));
+  const std::string before = db.kb().CanonicalDerivedState();
+  Must(db.kb().Repropagate());
+  EXPECT_EQ(before, db.kb().CanonicalDerivedState());
 }
 
 }  // namespace

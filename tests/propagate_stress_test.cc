@@ -1,22 +1,21 @@
-// Stress harness for parallel propagation: pool-scheduled mutation
-// wavefronts racing concurrent snapshot readers, plus rollback pins.
+// Stress harness for write-side propagation: bulk-load wavefronts
+// racing concurrent snapshot readers, plus rollback pins.
 //
 // Two contracts on top of the determinism harness
 // (propagate_determinism_test.cc):
 //
-//  - isolation: while the writer's propagation engine fans components of
-//    one bulk mutation across the engine's thread pool, reader threads
-//    continuously acquiring snapshots and serving queries never observe
-//    a half-propagated state — parallelism is internal to one mutation,
-//    and only published epochs are visible. Run under -DCLASSIC_TSAN=ON
-//    by scripts/check.sh; the worker/reader interleavings are exactly
-//    what the sanitizer needs to see.
+//  - isolation: while the writer propagates one bulk mutation, reader
+//    threads continuously acquiring snapshots and serving queries never
+//    observe a half-propagated state — only published epochs are
+//    visible. Run under -DCLASSIC_TSAN=ON by scripts/check.sh; the
+//    writer/reader interleavings are exactly what the sanitizer needs
+//    to see.
 //
-//  - atomicity: a contradiction discovered mid-wavefront in ONE
-//    component aborts the whole update; every sibling component's
-//    journaled writes (derived states, instance-index inserts, reverse
-//    references) roll back, leaving the database byte-identical to its
-//    pre-update canonical state — same as the serial engine.
+//  - atomicity: a contradiction discovered mid-wavefront on ONE island
+//    aborts the whole update; every journaled write on every other
+//    island (derived states, instance-index inserts, reverse references)
+//    rolls back, leaving the database byte-identical to its pre-update
+//    canonical state.
 //
 // Deterministic seeds; threads rendezvous on atomics, not timers.
 
@@ -45,8 +44,7 @@ void Must(const Status& st) { ASSERT_TRUE(st.ok()) << st.ToString(); }
 
 // Batch of island-shaped assertions: kIslandsPerRound islands of 3
 // fresh individuals each, every island a little FILLS triangle plus a
-// membership — enough structure that the propagation engine partitions
-// the wavefront and schedules it on the pool.
+// membership — many independent role-graph islands in one wavefront.
 std::vector<std::pair<std::string, std::string>> IslandBatch(
     const std::vector<std::string>& names, size_t round, Rng* rng) {
   std::vector<std::pair<std::string, std::string>> batch;
@@ -67,7 +65,6 @@ TEST(PropagateStress, BulkLoadsRaceSnapshotReaders) {
   KbEngine::Options options;
   options.num_threads = 4;
   KbEngine engine(options);
-  engine.SetParallelMutation(true);
 
   Must(engine.Mutate([](KnowledgeBase* kb) -> Status {
     SymbolTable* symbols = &kb->vocab().symbols();
@@ -122,7 +119,7 @@ TEST(PropagateStress, BulkLoadsRaceSnapshotReaders) {
       }
       last_marked = marked.values.size();
       // A describe keeps the readers exercising derived state while the
-      // writer's pool is propagating the next wavefront.
+      // writer is propagating the next wavefront.
       if (last_marked > 0) {
         QueryAnswer desc = KbEngine::ServeQuery(
             snap->kb(),
@@ -178,54 +175,43 @@ TEST(PropagateStress, BulkLoadsRaceSnapshotReaders) {
   EXPECT_EQ(final_marked.values.size(), kRounds * kIslandsPerRound / 2);
 }
 
-// A contradiction in one island of a partitioned wavefront must abort
-// the whole batch and restore the exact pre-batch state, even though
-// sibling components ran to their fixed points on other threads.
+// A contradiction on one island of a bulk wavefront must abort the whole
+// batch and restore the exact pre-batch state, including the valid
+// memberships already derived on every other island.
 TEST(PropagateStress, ContradictionMidWavefrontRollsBackEverything) {
-  std::string serial_dump;
-  for (size_t threads : {size_t{0}, size_t{4}}) {
-    Database db;
-    if (threads > 0) db.EnableParallelPropagation(threads);
-    Must(db.DefineRole("r0"));
-    Must(db.DefineConcept("P0", "(PRIMITIVE CLASSIC-THING p0)"));
-    if (HasFatalFailure()) return;
-    std::vector<std::string> names;
-    for (size_t i = 0; i < 64; ++i) {
-      names.push_back(StrCat("I", i));
-      Must(db.CreateIndividual(names.back()));
-    }
-    // Quiescent baseline: 16 islands of 4 with a couple of edges each.
-    std::vector<std::pair<std::string, std::string>> setup;
-    for (size_t i = 0; i < 64; ++i) {
-      const size_t lo = (i / 4) * 4;
-      setup.emplace_back(names[i],
-                         StrCat("(FILLS r0 ", names[lo + (i + 1) % 4], ")"));
-    }
-    Must(db.BulkAssert(setup));
-    if (HasFatalFailure()) return;
-    const std::string before = db.kb().CanonicalDerivedState();
-    const uint64_t rejected_before = db.kb().stats().rejected_updates;
-
-    // A big batch: valid new memberships on every island, plus one
-    // poison pill — a bound every island-member already violates.
-    std::vector<std::pair<std::string, std::string>> poison;
-    for (size_t i = 0; i < 64; i += 2) poison.emplace_back(names[i], "P0");
-    poison.emplace_back(names[37], "(AT-MOST 0 r0)");
-    Status st = db.BulkAssert(poison);
-    EXPECT_FALSE(st.ok());
-    EXPECT_EQ(before, db.kb().CanonicalDerivedState()) << "threads=" << threads;
-    EXPECT_GT(db.kb().stats().rejected_updates, rejected_before);
-
-    // The rolled-back state must also agree across schedules.
-    if (threads == 0) {
-      serial_dump = before;
-    } else {
-      EXPECT_EQ(serial_dump, before);
-    }
-
-    // The database stays fully usable after the rollback.
-    Must(db.AssertInd(names[0], "P0"));
+  Database db;
+  Must(db.DefineRole("r0"));
+  Must(db.DefineConcept("P0", "(PRIMITIVE CLASSIC-THING p0)"));
+  if (HasFatalFailure()) return;
+  std::vector<std::string> names;
+  for (size_t i = 0; i < 64; ++i) {
+    names.push_back(StrCat("I", i));
+    Must(db.CreateIndividual(names.back()));
   }
+  // Quiescent baseline: 16 islands of 4 with a couple of edges each.
+  std::vector<std::pair<std::string, std::string>> setup;
+  for (size_t i = 0; i < 64; ++i) {
+    const size_t lo = (i / 4) * 4;
+    setup.emplace_back(names[i],
+                       StrCat("(FILLS r0 ", names[lo + (i + 1) % 4], ")"));
+  }
+  Must(db.BulkAssert(setup));
+  if (HasFatalFailure()) return;
+  const std::string before = db.kb().CanonicalDerivedState();
+  const uint64_t rejected_before = db.kb().stats().rejected_updates;
+
+  // A big batch: valid new memberships on every island, plus one poison
+  // pill — a bound every island-member already violates.
+  std::vector<std::pair<std::string, std::string>> poison;
+  for (size_t i = 0; i < 64; i += 2) poison.emplace_back(names[i], "P0");
+  poison.emplace_back(names[37], "(AT-MOST 0 r0)");
+  Status st = db.BulkAssert(poison);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(before, db.kb().CanonicalDerivedState());
+  EXPECT_GT(db.kb().stats().rejected_updates, rejected_before);
+
+  // The database stays fully usable after the rollback.
+  Must(db.AssertInd(names[0], "P0"));
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
-// Unit tests for util: Status/Result, interning, string helpers, RNG.
+// Unit tests for util: Status/Result, interning, string helpers, RNG,
+// thread pool.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <vector>
 
 #include "util/intern.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace classic {
 namespace {
@@ -142,6 +147,35 @@ TEST(RngTest, DoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
+}
+
+TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
+  ThreadPool pool(3);
+  const size_t workers = pool.size();
+  for (size_t n : {size_t{0}, size_t{1}, workers, workers + 1, size_t{1000}}) {
+    std::vector<std::atomic<int>> runs(n);
+    pool.ParallelFor(n, [&runs](size_t i) {
+      runs[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+// Each call's completion latch lives on the caller's stack, so the next
+// call reuses that memory straight away: a helper still touching the old
+// latch after the caller returned would corrupt or hang this loop (and
+// TSan reports it).
+TEST(ThreadPoolTest, BackToBackSmallParallelForsComplete) {
+  ThreadPool pool(3);
+  std::atomic<size_t> total{0};
+  for (int call = 0; call < 10000; ++call) {
+    pool.ParallelFor(2, [&total](size_t) {
+      total.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(total.load(), 20000u);
 }
 
 }  // namespace
