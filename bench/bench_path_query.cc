@@ -30,7 +30,7 @@ void BM_PathQueryTwoHop(benchmark::State& state) {
   std::string text = StrCat(
       "(select (?x ?z) (?x ", w.schema.primitive_names[1], ") (?x ",
       w.schema.role_names[0], " ?y) (?y ", w.schema.role_names[1], " ?z))");
-  auto q = ParsePathQueryString(text, &db.kb());
+  auto q = ParsePathQueryString(text, db.kb());
   if (!q.ok()) {
     state.SkipWithError("parse failed");
     return;
@@ -60,7 +60,7 @@ void BM_PathQueryReverseStep(benchmark::State& state) {
   // Who references Ind-0 through role0? (bound object, free subject).
   std::string text = StrCat("(select (?x) (?x ", w.schema.role_names[0],
                             " ", w.individuals[0], "))");
-  auto q = ParsePathQueryString(text, &db.kb());
+  auto q = ParsePathQueryString(text, db.kb());
   if (!q.ok()) {
     state.SkipWithError("parse failed");
     return;

@@ -6,7 +6,8 @@
 # across runs, and clang-tidy over src/ when installed — findings fail
 # the build), the observability gates (a -DCLASSIC_OBS=OFF build
 # proving the instrumentation compiles out cleanly, and classic_stats
-# --json validated against the golden schema), the planner gates (the
+# --json over every shipped program — which fails on any erroring form —
+# validated against the golden schema), the planner gates (the
 # (explain ...) golden over the university example, and the selective
 # query-cost guard pinning the index-vs-scan gap at 100k individuals),
 # the serving gates (a quick loadgen run checked against the
@@ -61,8 +62,10 @@ if [[ "$TSAN_ONLY" -eq 0 ]]; then
   cmp /tmp/deps.1 /tmp/deps.2
   rm -f /tmp/profile.1 /tmp/profile.2 /tmp/deps.1 /tmp/deps.2
 
-  echo "== obs: classic_stats --json against the golden schema"
-  ./build/tools/classic_stats --format=json examples/university.classic |
+  echo "== obs: classic_stats --json over every shipped program, against the golden schema"
+  # classic_stats fails on any form whose answer is an error, so a read
+  # form that errors in any example fails here.
+  ./build/tools/classic_stats --format=json examples/*.classic examples/*.clq |
     python3 scripts/check_stats_schema.py
 
   echo "== perf: publish-cost regression guard (smoke-mode bench)"

@@ -21,6 +21,7 @@
 #include "analyze/diagnostics.h"
 #include "classic/database.h"
 #include "sexpr/sexpr.h"
+#include "util/result.h"
 #include "util/status.h"
 
 namespace classic::analyze {

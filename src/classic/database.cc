@@ -2,7 +2,7 @@
 
 #include "desc/parser.h"
 #include "kb/explain.h"
-#include "query/path_query.h"
+#include "kb/kb_engine.h"
 #include "storage/snapshot.h"
 #include "util/string_util.h"
 
@@ -137,6 +137,13 @@ std::vector<std::string> Names(const KnowledgeBase& kb,
 }
 }  // namespace
 
+Result<std::vector<std::string>> Database::ServeQuery(
+    const QueryRequest& request) const {
+  QueryAnswer answer = KbEngine::ServeQuery(kb_, request);
+  if (!answer.status.ok()) return answer.status;
+  return std::move(answer.values);
+}
+
 Result<RetrievalResult> Database::AskWithStats(const std::string& query)
     const {
   auto& symbols = kb_.vocab().symbols();
@@ -146,16 +153,12 @@ Result<RetrievalResult> Database::AskWithStats(const std::string& query)
 
 Result<std::vector<std::string>> Database::Ask(const std::string& query)
     const {
-  CLASSIC_ASSIGN_OR_RETURN(RetrievalResult r, AskWithStats(query));
-  return Names(kb_, r.answers);
+  return ServeQuery(QueryRequest::Ask(query));
 }
 
 Result<std::vector<std::string>> Database::AskPossible(
     const std::string& query) const {
-  auto& symbols = kb_.vocab().symbols();
-  CLASSIC_ASSIGN_OR_RETURN(Query q, ParseQueryString(query, &symbols));
-  CLASSIC_ASSIGN_OR_RETURN(std::vector<IndId> ids, RetrievePossible(kb_, q));
-  return Names(kb_, ids);
+  return ServeQuery(QueryRequest::AskPossible(query));
 }
 
 Result<DescriptionAnswer> Database::AskDescriptionFull(
@@ -166,20 +169,10 @@ Result<DescriptionAnswer> Database::AskDescriptionFull(
 }
 
 Result<std::string> Database::AskDescription(const std::string& query) const {
-  CLASSIC_ASSIGN_OR_RETURN(DescriptionAnswer a, AskDescriptionFull(query));
-  return a.description->ToString(kb_.vocab().symbols());
-}
-
-Result<std::vector<std::string>> Database::PathQuery(
-    const std::string& select_expr) const {
-  CLASSIC_ASSIGN_OR_RETURN(classic::PathQuery q,
-                           ParsePathQueryString(select_expr, kb_));
-  CLASSIC_ASSIGN_OR_RETURN(PathQueryResult r, EvaluatePathQuery(kb_, q));
-  std::vector<std::string> rows;
-  for (const auto& row : PathQueryRowNames(kb_, r)) {
-    rows.push_back(Join(row, " "));
-  }
-  return rows;
+  // values: the rendered description, then the most specific names.
+  CLASSIC_ASSIGN_OR_RETURN(std::vector<std::string> values,
+                           ServeQuery(QueryRequest::AskDescription(query)));
+  return std::move(values.front());
 }
 
 Result<bool> Database::Subsumes(const std::string& c1,
@@ -205,26 +198,20 @@ Result<bool> Database::Coherent(const std::string& c) const {
 
 Result<std::vector<std::string>> Database::InstancesOf(
     const std::string& concept_name) const {
-  Symbol sym = kb_.vocab().symbols().Lookup(concept_name);
-  if (sym == kNoSymbol) {
-    return Status::NotFound(StrCat("unknown concept: ", concept_name));
-  }
-  CLASSIC_ASSIGN_OR_RETURN(ConceptId cid, kb_.vocab().FindConcept(sym));
-  CLASSIC_ASSIGN_OR_RETURN(NodeId node, kb_.taxonomy().NodeOf(cid));
-  const auto& inst = kb_.Instances(node);
-  return Names(kb_, std::vector<IndId>(inst.begin(), inst.end()));
+  return ServeQuery(QueryRequest::InstancesOf(concept_name));
 }
 
 Result<std::vector<std::string>> Database::MostSpecificConcepts(
     const std::string& ind_name) const {
-  CLASSIC_ASSIGN_OR_RETURN(IndId ind, FindIndividual(ind_name));
-  return IndMostSpecificConcepts(kb_, ind);
+  return ServeQuery(QueryRequest::MostSpecificConcepts(ind_name));
 }
 
 Result<std::string> Database::DescribeIndividual(
     const std::string& ind_name) const {
-  CLASSIC_ASSIGN_OR_RETURN(IndId ind, FindIndividual(ind_name));
-  return kb_.state(ind).derived->ToString(kb_.vocab());
+  CLASSIC_ASSIGN_OR_RETURN(
+      std::vector<std::string> values,
+      ServeQuery(QueryRequest::DescribeIndividual(ind_name)));
+  return std::move(values.front());
 }
 
 Result<std::vector<std::string>> Database::Fillers(

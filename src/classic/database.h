@@ -29,6 +29,8 @@
 
 namespace classic {
 
+struct QueryRequest;
+
 /// \brief A CLASSIC database instance. Single-writer; not thread-safe by
 /// itself — for concurrent query serving, hand kb() to
 /// KbEngine::ResetFrom (kb/kb_engine.h), which forks it copy-on-write
@@ -89,6 +91,11 @@ class Database {
   Status RetractInd(const std::string& name, const std::string& expression);
 
   // --- Queries --------------------------------------------------------------
+  //
+  // The string-returning reads (Ask, AskPossible, AskDescription,
+  // InstancesOf, MostSpecificConcepts, DescribeIndividual) are served by
+  // the engine's one dispatch, KbEngine::ServeQuery, over the live base:
+  // the facade, the repl and the wire answer every read the same way.
 
   /// \brief ask-necessary-set: names of individuals known to satisfy the
   /// query (which may contain one ?: marker).
@@ -103,13 +110,9 @@ class Database {
   /// \brief ask-description: the necessary description of all possible
   /// answers, rendered in concrete syntax.
   Result<std::string> AskDescription(const std::string& query) const;
+  /// \brief Same, structured: the description plus the most specific
+  /// named concepts subsuming it.
   Result<DescriptionAnswer> AskDescriptionFull(const std::string& query) const;
-
-  /// \brief Conjunctive path query "(select (?x ...) atoms...)"; each
-  /// answer row renders its bindings as space-joined display names, in
-  /// the deterministic evaluation order.
-  Result<std::vector<std::string>> PathQuery(
-      const std::string& select_expr) const;
 
   /// \brief concept-subsumes[c1, c2] over arbitrary expressions.
   Result<bool> Subsumes(const std::string& c1, const std::string& c2) const;
@@ -182,6 +185,11 @@ class Database {
   Status LogOp(const std::string& line);
 
   Result<DescPtr> Parse(const std::string& text) const;
+
+  /// Serves one read request against the live base
+  /// (KbEngine::ServeQuery); the answer values, or the answer's error.
+  Result<std::vector<std::string>> ServeQuery(
+      const QueryRequest& request) const;
 
   KnowledgeBase kb_;
   storage::OperationLog log_;

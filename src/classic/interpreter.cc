@@ -6,7 +6,6 @@
 #include "desc/parser.h"
 #include "kb/explain.h"
 #include "obs/registry.h"
-#include "query/path_query.h"
 #include "relational/relational.h"
 #include "query/taxonomy_printer.h"
 #include "storage/log.h"
@@ -131,19 +130,6 @@ Result<std::string> Interpreter::Execute(const sexpr::Value& op) {
     return std::string("ok");
   }
 
-  if (head == "ask") {
-    CLASSIC_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                             db_->Ask(Rest(op, 1)));
-    return FormatNames(names);
-  }
-  if (head == "ask-possible") {
-    CLASSIC_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                             db_->AskPossible(Rest(op, 1)));
-    return FormatNames(names);
-  }
-  if (head == "ask-description") {
-    return db_->AskDescription(Rest(op, 1));
-  }
   if (head == "summarize") {
     auto& symbols = db_->kb().vocab().symbols();
     CLASSIC_ASSIGN_OR_RETURN(Query q,
@@ -172,25 +158,6 @@ Result<std::string> Interpreter::Execute(const sexpr::Value& op) {
     return std::string(b ? "yes" : "no");
   }
 
-  if (head == "instances") {
-    CLASSIC_ASSIGN_OR_RETURN(std::string name,
-                             SymbolArg(op, 1, "concept name"));
-    CLASSIC_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                             db_->InstancesOf(name));
-    return FormatNames(names);
-  }
-  if (head == "msc") {
-    CLASSIC_ASSIGN_OR_RETURN(std::string name,
-                             SymbolArg(op, 1, "individual name"));
-    CLASSIC_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                             db_->MostSpecificConcepts(name));
-    return FormatNames(names);
-  }
-  if (head == "describe") {
-    CLASSIC_ASSIGN_OR_RETURN(std::string name,
-                             SymbolArg(op, 1, "individual name"));
-    return db_->DescribeIndividual(name);
-  }
   if (head == "fillers") {
     CLASSIC_ASSIGN_OR_RETURN(std::string name,
                              SymbolArg(op, 1, "individual name"));
@@ -378,21 +345,6 @@ Result<std::string> Interpreter::Execute(const sexpr::Value& op) {
     return ExplainSubsumes(db_->kb(), *n1, *n2).ToString();
   }
 
-  if (head == "select") {
-    CLASSIC_ASSIGN_OR_RETURN(PathQuery q,
-                             ParsePathQuery(op, &db_->kb()));
-    CLASSIC_ASSIGN_OR_RETURN(PathQueryResult r,
-                             EvaluatePathQuery(db_->kb(), q));
-    auto rows = PathQueryRowNames(db_->kb(), r);
-    std::string out = "(";
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (i > 0) out += ' ';
-      out += "(" + Join(rows[i], " ") + ")";
-    }
-    out += ")";
-    return out;
-  }
-
   if (head == "export-csv") {
     if (op.size() != 2 || !op.at(1).IsString()) {
       return Status::InvalidArgument("export-csv needs a directory string");
@@ -439,43 +391,42 @@ Result<std::string> Interpreter::Execute(const sexpr::Value& op) {
     return FormatNames(names);
   }
 
-  if (head == "explain") {
-    // (explain <query-form>) — serve the wrapped read-only form with
-    // QueryRequest::explain set and print the chosen plan above the
-    // answer. Served against the live database directly (ServeQuery is a
-    // pure read), so explain works before any (publish).
-    CLASSIC_ASSIGN_OR_RETURN(QueryRequest req, Session::RequestFromForm(op));
-    QueryAnswer ans = KbEngine::ServeQuery(db_->kb(), req);
-    CLASSIC_RETURN_NOT_OK(ans.status);
-    // values[0] is the rendered plan; the rest is the ordinary answer.
-    std::vector<std::string> rest(
-        ans.values.begin() + (ans.values.empty() ? 0 : 1), ans.values.end());
-    return StrCat(ans.values.empty() ? "" : ans.values[0], "\n",
-                  FormatAnswer(req.kind, rest));
+  // Every read form is served by one path: Session::RequestFromForm
+  // parses it (the wire's parser), KbEngine::ServeQuery answers it (the
+  // wire's dispatch), FormatAnswer prints it. (as-of E F) is F routed to
+  // retained epoch E. This branch comes after every writer and
+  // introspection head, so replaying a program (Database::LoadFile)
+  // never builds a read request for them.
+  const bool as_of = head == "as-of";
+  if (as_of && (op.size() != 3 || !op.at(1).IsInteger())) {
+    return Status::InvalidArgument(
+        StrCat("as-of needs an epoch number and a query form: ",
+               op.ToString()));
   }
-
-  if (head == "as-of") {
-    if (op.size() != 3 || !op.at(1).IsInteger()) {
-      return Status::InvalidArgument(
-          StrCat("as-of needs an epoch number and a query form: ",
-                 op.ToString()));
-    }
-    if (session_ == nullptr) {
-      return Status::NotFound("no epoch published yet; run (publish) first");
-    }
+  CLASSIC_ASSIGN_OR_RETURN(QueryRequest req,
+                           Session::RequestFromForm(as_of ? op.at(2) : op));
+  if (as_of) {
     if (op.at(1).integer() <= 0) {
       return Status::NotFound(StrCat("epoch ", op.at(1).integer(),
                                      " is not retained; see (epochs)"));
     }
-    CLASSIC_ASSIGN_OR_RETURN(QueryRequest req,
-                             Session::RequestFromForm(op.at(2)));
     req.as_of_epoch = static_cast<uint64_t>(op.at(1).integer());
-    QueryAnswer ans = session_->Serve(req);
-    CLASSIC_RETURN_NOT_OK(ans.status);
-    return FormatAnswer(req.kind, ans.values);
   }
-
-  return Status::InvalidArgument(StrCat("unknown operation: ", head));
+  QueryAnswer ans;
+  if (req.as_of_epoch == 0) {
+    // The live database: ServeQuery is a pure read, so this works before
+    // any (publish).
+    ans = KbEngine::ServeQuery(db_->kb(), req);
+  } else if (session_ == nullptr) {
+    return Status::NotFound("no epoch published yet; run (publish) first");
+  } else {
+    ans = session_->Serve(req);
+  }
+  CLASSIC_RETURN_NOT_OK(ans.status);
+  if (!req.explain) return FormatAnswer(req.kind, ans.values);
+  // values[0] is the rendered plan; the rest is the ordinary answer.
+  std::vector<std::string> rest(ans.values.begin() + 1, ans.values.end());
+  return StrCat(ans.values[0], "\n", FormatAnswer(req.kind, rest));
 }
 
 Session& Interpreter::TheSession() {

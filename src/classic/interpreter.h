@@ -12,7 +12,8 @@
 //   (create-ind Name [<concept>])    (assert-ind Name <expr>)
 //   (retract-ind Name <expr>)
 //   (ask <query>)                    (ask-possible <query>)
-//   (ask-description <query>)
+//   (ask-description <query>)        (summarize <query>)
+//   (select (?v...) atoms...)
 //   (subsumes <c1> <c2>)             (equivalent <c1> <c2>)
 //   (coherent <c>)
 //   (instances NAME)                 (msc IndName)
@@ -23,20 +24,30 @@
 //   (ind-aspect IndName ASPECT role)
 //   (save-snapshot "path")           (load "path")
 //   (publish)                        (epochs)
-//   (as-of EPOCH <query-op>)         (explain <query-op>)
+//   (as-of EPOCH <read-form>)        (explain <read-form>)
+//
+// The read forms — ask, ask-possible, ask-description, select,
+// instances, msc, describe, explain and the wire's canonical
+// (request <kind> "<text>" [epoch] [explain]) — have exactly one path:
+// Session::RequestFromForm parses them into a QueryRequest,
+// KbEngine::ServeQuery answers it and the answer is printed as a name
+// list, path-query rows, or text lines (ask-description prints the
+// description, then the most specific named concepts, one per line).
+// It is the parser and dispatch the wire protocol and classic_stats
+// use, so the repl cannot answer a read differently from them.
 //
 // The epoch forms expose O(delta) copy-on-write publication: (publish)
 // captures the database's current state as the next epoch (cost
 // proportional to the mutations since the previous capture — snapshots
 // share chunked storage with the live database), (epochs) lists the
-// retained epoch numbers, and (as-of N <op>) evaluates a read-only query
-// form — ask, ask-possible, ask-description, instances, msc, describe —
-// against retained epoch N, i.e. against history.
+// retained epoch numbers, and (as-of N <form>) serves a read form
+// against retained epoch N, i.e. against history. A read form that
+// names its own epoch — (request ask "STUDENT" 3) — is routed the same
+// way; every other read is served from the live database.
 //
-// (explain <op>) serves any of those read-only forms with the query
-// planner's plan tree printed above the answer: the access path chosen
-// (taxonomy scan vs. index intersection), with estimated and actual
-// per-node cardinalities (query/planner.h).
+// (explain <form>) prints the query planner's plan tree above the
+// answer: the access path chosen (taxonomy scan vs. index intersection),
+// with estimated and actual per-node cardinalities (query/planner.h).
 
 #pragma once
 
@@ -48,7 +59,7 @@
 #include "kb/kb_engine.h"
 #include "kb/session.h"
 #include "sexpr/sexpr.h"
-#include "util/status.h"
+#include "util/result.h"
 
 namespace classic {
 

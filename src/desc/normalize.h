@@ -21,6 +21,7 @@
 #include "desc/nf_store.h"
 #include "desc/normal_form.h"
 #include "desc/vocabulary.h"
+#include "util/result.h"
 #include "util/status.h"
 
 namespace classic {

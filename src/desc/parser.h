@@ -12,7 +12,7 @@
 #include "desc/description.h"
 #include "sexpr/sexpr.h"
 #include "util/intern.h"
-#include "util/status.h"
+#include "util/result.h"
 
 namespace classic {
 

@@ -32,7 +32,7 @@
 #include "desc/ids.h"
 #include "util/intern.h"
 #include "util/stable_vector.h"
-#include "util/status.h"
+#include "util/result.h"
 
 namespace classic {
 

@@ -45,6 +45,7 @@
 #include "kb/fills_index.h"
 #include "taxonomy/taxonomy.h"
 #include "util/cow.h"
+#include "util/result.h"
 #include "util/stable_vector.h"
 #include "util/status.h"
 

@@ -77,10 +77,11 @@ class Session {
   KbEngine& engine() const { return *engine_; }
 
   /// \brief Maps one read-only operator-language form to the engine
-  /// request it corresponds to. This is the shared parsing surface of
-  /// the repl's (as-of E <form>) and the wire protocol's request frames;
-  /// both the canonical form `(request <kind> "<text>" [epoch] [explain])`
-  /// and the human forms are accepted:
+  /// request it corresponds to. This is the one parser of every read:
+  /// the repl's read forms (live, explained and as-of), classic_stats and
+  /// the wire protocol's request frames. Both the canonical form
+  /// `(request <kind> "<text>" [epoch] [explain])` and the human forms
+  /// are accepted:
   ///
   ///   (ask <query>) (ask-possible <query>) (ask-description <query>)
   ///   (select (vars...) atoms...) (instances NAME) (msc Ind)

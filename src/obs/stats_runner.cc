@@ -6,6 +6,7 @@
 
 #include "classic/interpreter.h"
 #include "kb/kb_engine.h"
+#include "kb/session.h"
 #include "sexpr/sexpr.h"
 #include "util/string_util.h"
 
@@ -19,29 +20,6 @@ Result<std::string> ReadWholeFile(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-/// Maps a query-kind form onto a serving request; nullopt for every
-/// other head (schema, updates, introspection the engine does not
-/// serve). The head names are the operator language's, the request text
-/// is what the serving layer parses.
-std::optional<QueryRequest> AsQueryRequest(const sexpr::Value& op) {
-  if (!op.IsList() || op.size() == 0 || !op.at(0).IsSymbol()) {
-    return std::nullopt;
-  }
-  const std::string& head = op.at(0).text();
-  if (head == "select") return QueryRequest::PathQuery(op.ToString());
-  if (op.size() < 2) return std::nullopt;
-  std::string arg = op.at(1).ToString();
-  if (head == "ask") return QueryRequest::Ask(std::move(arg));
-  if (head == "ask-possible") return QueryRequest::AskPossible(std::move(arg));
-  if (head == "ask-description") {
-    return QueryRequest::AskDescription(std::move(arg));
-  }
-  if (head == "describe") return QueryRequest::DescribeIndividual(std::move(arg));
-  if (head == "msc") return QueryRequest::MostSpecificConcepts(std::move(arg));
-  if (head == "instances") return QueryRequest::InstancesOf(std::move(arg));
-  return std::nullopt;
 }
 
 std::string JsonEscape(const std::string& s) {
@@ -131,8 +109,18 @@ Result<ProgramStats> ReplayProgramWithStats(const std::string& path) {
   ProgramStats report;
   report.file = path;
 
-  // --- load: replay everything the engine does not serve.
-  std::vector<QueryRequest> queries;
+  // A failing form, schema or read, fails the run and is named with its
+  // status.
+  const auto fail = [&path](const sexpr::Value& op, const Status& st) {
+    return Status(st.code(),
+                  StrCat(path, ": ", op.ToString(), ": ", st.ToString()));
+  };
+
+  // --- load: replay every form that is not a read. Reads are parsed by
+  // the repl's and the wire's request parser and kept for the query
+  // phase; a malformed read fails to parse, so the interpreter replays
+  // it and reports that parser's error.
+  std::vector<std::pair<sexpr::Value, QueryRequest>> reads;
   Database db;
   Interpreter interp(&db);
   {
@@ -141,16 +129,12 @@ Result<ProgramStats> ReplayProgramWithStats(const std::string& path) {
     CounterDeltaScope window;
     const uint64_t start = MonotonicNanos();
     for (const sexpr::Value& op : forms) {
-      if (std::optional<QueryRequest> req = AsQueryRequest(op)) {
-        queries.push_back(std::move(*req));
+      if (Result<QueryRequest> req = Session::RequestFromForm(op); req.ok()) {
+        reads.emplace_back(op, std::move(*req));
         continue;
       }
       Result<std::string> r = interp.Execute(op);
-      if (!r.ok()) {
-        return Status(r.status().code(),
-                      StrCat(path, ": ", op.at(0).text(), ": ",
-                             r.status().message()));
-      }
+      if (!r.ok()) return fail(op, r.status());
       ++phase.ops;
     }
     phase.wall_nanos = MonotonicNanos() - start;
@@ -172,13 +156,14 @@ Result<ProgramStats> ReplayProgramWithStats(const std::string& path) {
     report.phases.push_back(std::move(phase));
   }
 
-  // --- query: serve every query form against the published snapshot.
+  // --- query: serve every read form against the published epoch through
+  // a Session, as the repl's (as-of 1 <form>) and the wire do.
   {
     PhaseStats phase;
     phase.phase = "query";
     CounterDeltaScope window;
     const uint64_t start = MonotonicNanos();
-    SnapshotPtr snap = engine.snapshot();
+    const Session session(&engine);
     // Always report all seven kinds in Kind order, even at zero — the
     // histogram's shape is part of the JSON contract.
     constexpr size_t kNumKinds =
@@ -188,10 +173,11 @@ Result<ProgramStats> ReplayProgramWithStats(const std::string& path) {
       report.planner[k].kind =
           QueryKindName(static_cast<QueryRequest::Kind>(k));
     }
-    for (const QueryRequest& req : queries) {
+    for (const auto& [op, req] : reads) {
       // ServeQuery's per-answer counter deltas attribute each concept
       // retrieval's access-path choice to the request that caused it.
-      QueryAnswer ans = KbEngine::ServeQuery(snap->kb(), req);
+      QueryAnswer ans = session.Serve(req);
+      if (!ans.status.ok()) return fail(op, ans.status);
       PlannerKindStats& pk =
           report.planner[static_cast<size_t>(req.kind)];
       ++pk.queries;

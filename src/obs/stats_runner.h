@@ -8,10 +8,11 @@
 //            individuals, rules — the write side);
 //   publish  adopting a clone of the loaded base into a KbEngine and
 //            publishing the first epoch;
-//   query    every query-kind form, served through KbEngine::ServeQuery
-//            against that one published snapshot (so the query phase
-//            exercises exactly the instrumented serving path, latency
-//            histograms included).
+//   query    every read form — parsed by Session::RequestFromForm, the
+//            parser the repl and the wire use — served through a Session
+//            pinned to that one published epoch (so the query phase
+//            exercises exactly the instrumented serving path,
+//            KbEngine::ServeQuery, latency histograms included).
 //
 // Each phase reports its operation count, wall time and counter deltas;
 // the report ends with the full registry snapshot. Query forms are
@@ -69,9 +70,9 @@ struct ProgramStats {
 
 /// \brief Resets the process metrics registry, replays the program at
 /// `path` and returns the per-phase report. Errors (unreadable file,
-/// unparsable program, rejected schema/update form) are a Status error;
-/// a query form that fails is reported inside its answer and does not
-/// abort the run.
+/// unparsable program, a rejected schema/update form, or a read form
+/// whose answer is an error) are a Status error whose message names the
+/// failing form and its status.
 Result<ProgramStats> ReplayProgramWithStats(const std::string& path);
 
 }  // namespace classic::obs

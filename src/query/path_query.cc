@@ -5,7 +5,7 @@
 #include <set>
 
 #include "desc/parser.h"
-#include "query/query.h"
+#include "query/planner.h"
 #include "util/string_util.h"
 
 namespace classic {
@@ -107,19 +107,10 @@ Result<PathQuery> ParsePathQuery(const sexpr::Value& v,
   return q;
 }
 
-Result<PathQuery> ParsePathQuery(const sexpr::Value& v, KnowledgeBase* kb) {
-  return ParsePathQuery(v, static_cast<const KnowledgeBase&>(*kb));
-}
-
 Result<PathQuery> ParsePathQueryString(const std::string& text,
                                        const KnowledgeBase& kb) {
   CLASSIC_ASSIGN_OR_RETURN(sexpr::Value v, sexpr::Parse(text));
   return ParsePathQuery(v, kb);
-}
-
-Result<PathQuery> ParsePathQueryString(const std::string& text,
-                                       KnowledgeBase* kb) {
-  return ParsePathQueryString(text, static_cast<const KnowledgeBase&>(*kb));
 }
 
 namespace {
@@ -200,8 +191,9 @@ class PathEvaluator {
       return Status::OK();
     }
     // Generator: classified retrieval seeds the domain.
-    CLASSIC_ASSIGN_OR_RETURN(RetrievalResult r,
-                             RetrieveNormalForm(kb_, *atom.concept_nf));
+    CLASSIC_ASSIGN_OR_RETURN(
+        RetrievalResult r,
+        planner::RetrieveConcept(kb_, *atom.concept_nf, nullptr));
     concept_tests_ += r.stats.candidates_tested;
     size_t var = atom.subject.var();
     for (IndId candidate : r.answers) {

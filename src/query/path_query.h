@@ -66,18 +66,13 @@ struct PathQuery {
 /// \brief Parses `(select (?v...) atom...)`. Atoms are
 /// `(?v <concept-expr>)` or `(<subj> <role> <obj>)` where subj/obj are
 /// variables or individual constants. Parsing only touches the KB's
-/// logically-const interning caches, so the const overloads are safe on
-/// shared snapshots; the pointer overloads remain for callers holding a
-/// mutable database.
+/// logically-const interning caches, so it is safe on shared snapshots.
 Result<PathQuery> ParsePathQuery(const sexpr::Value& v,
                                  const KnowledgeBase& kb);
-Result<PathQuery> ParsePathQuery(const sexpr::Value& v, KnowledgeBase* kb);
 
 /// \brief Convenience: parse from text.
 Result<PathQuery> ParsePathQueryString(const std::string& text,
                                        const KnowledgeBase& kb);
-Result<PathQuery> ParsePathQueryString(const std::string& text,
-                                       KnowledgeBase* kb);
 
 /// \brief Result rows (deduplicated, sorted) plus evaluation statistics.
 struct PathQueryResult {

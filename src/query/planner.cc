@@ -457,24 +457,15 @@ Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
   return out;
 }
 
-Result<RetrievalResult> RetrieveQuery(const KnowledgeBase& kb,
-                                      const Query& query, PlanNode* plan) {
-  CLASSIC_ASSIGN_OR_RETURN(
-      NormalFormPtr root_nf,
-      kb.normalizer().NormalizeConcept(query.level_constraints[0]));
-  PlanNode root_plan;
-  CLASSIC_ASSIGN_OR_RETURN(
-      RetrievalResult level,
-      RetrieveConcept(kb, *root_nf, plan != nullptr ? &root_plan : nullptr));
-  if (!query.has_marker || query.marker_roles.empty()) {
-    if (plan != nullptr) *plan = std::move(root_plan);
-    return level;
-  }
+Result<RetrievalResult> WalkMarker(const KnowledgeBase& kb, const Query& query,
+                                   RetrievalResult root, PlanNode* plan) {
+  if (!query.has_marker || query.marker_roles.empty()) return root;
 
-  // Walk the marker chain: collect fillers, filter by level constraints.
+  // Follow the marker roles: each step keeps the known fillers of the
+  // frontier that satisfy that level's constraint.
   RetrievalResult out;
-  out.stats = level.stats;
-  std::set<IndId> frontier(level.answers.begin(), level.answers.end());
+  out.stats = root.stats;
+  std::set<IndId> frontier(root.answers.begin(), root.answers.end());
   for (size_t step = 0; step < query.marker_roles.size(); ++step) {
     CLASSIC_ASSIGN_OR_RETURN(RoleId role,
                              kb.vocab().FindRole(query.marker_roles[step]));
@@ -494,14 +485,23 @@ Result<RetrievalResult> RetrieveQuery(const KnowledgeBase& kb,
       PlanNode walk =
           Node("marker-walk", {RoleName(kb, role)}, frontier_size);
       walk.act = next.size();
-      walk.children.push_back(std::move(root_plan));
-      root_plan = std::move(walk);
+      walk.children.push_back(std::move(*plan));
+      *plan = std::move(walk);
     }
     frontier = std::move(next);
   }
   out.answers.assign(frontier.begin(), frontier.end());
-  if (plan != nullptr) *plan = std::move(root_plan);
   return out;
+}
+
+Result<RetrievalResult> RetrieveQuery(const KnowledgeBase& kb,
+                                      const Query& query, PlanNode* plan) {
+  CLASSIC_ASSIGN_OR_RETURN(
+      NormalFormPtr root_nf,
+      kb.normalizer().NormalizeConcept(query.level_constraints[0]));
+  CLASSIC_ASSIGN_OR_RETURN(RetrievalResult root,
+                           RetrieveConcept(kb, *root_nf, plan));
+  return WalkMarker(kb, query, std::move(root), plan);
 }
 
 Result<std::vector<IndId>> RetrievePossible(const KnowledgeBase& kb,

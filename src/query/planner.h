@@ -83,13 +83,24 @@ std::string RenderPlan(const char* kind_name, const PlanNode& root);
 /// concept, executes the chosen access path, and returns the answers
 /// (sorted, byte-identical across modes). When `plan` is non-null the
 /// chosen plan tree with actual per-node cardinalities is stored there.
-/// query.cc's RetrieveNormalForm delegates here, so path queries and
-/// descriptions take the same access paths.
+/// Path-query concept atoms retrieve through it too, so they take the
+/// same access paths.
 Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
                                         const NormalForm& nf, PlanNode* plan);
 
-/// \brief Full query retrieval including the `?:` marker walk (each walk
-/// step wraps the plan in a marker-walk node). The engine's kAsk path.
+/// \brief The extensional `?:` marker walk, the only one: from `root`,
+/// the answers of the query's root level, follows each marker role to
+/// the known fillers that satisfy the next level's constraint. Unmarked
+/// and root-marked queries return `root` unchanged. When `plan` is
+/// non-null it holds the root level's plan on entry, and each step wraps
+/// it in a `marker-walk` node. RetrieveQuery and the naive test
+/// reference (query.cc's RetrieveNaive) differ only in how they find
+/// `root`.
+Result<RetrievalResult> WalkMarker(const KnowledgeBase& kb, const Query& query,
+                                   RetrievalResult root, PlanNode* plan);
+
+/// \brief Full query retrieval: RetrieveConcept on the root level, then
+/// WalkMarker. The engine's kAsk path.
 Result<RetrievalResult> RetrieveQuery(const KnowledgeBase& kb,
                                       const Query& query, PlanNode* plan);
 

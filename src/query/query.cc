@@ -193,83 +193,22 @@ Query QueryFromConcept(DescPtr concept_desc) {
   return q;
 }
 
-Result<RetrievalResult> RetrieveNormalForm(const KnowledgeBase& kb,
-                                           const NormalForm& nf) {
-  // The planner owns concept-level retrieval: it reproduces the
-  // classify-then-test technique as its scan path and may substitute an
-  // index-derived candidate set when the query offers one (the answers
-  // are identical either way). Every composed evaluator — path-query
-  // concept atoms, description queries — inherits the access paths.
-  return planner::RetrieveConcept(kb, nf, nullptr);
-}
-
-namespace {
-
-/// Full-scan retrieval of one concept level (baseline).
-Result<RetrievalResult> RetrieveLevelNaive(const KnowledgeBase& kb,
-                                           const NormalForm& nf) {
-  RetrievalResult out;
-  for (IndId i = 0; i < kb.num_visible_individuals(); ++i) {
-    ++out.stats.candidates_tested;
-    if (kb.Satisfies(i, nf)) out.answers.push_back(i);
-  }
-  return out;
-}
-
-using LevelFn = Result<RetrievalResult> (*)(const KnowledgeBase&,
-                                            const NormalForm&);
-
-Result<RetrievalResult> RetrieveWith(const KnowledgeBase& kb,
-                                     const Query& query, LevelFn level_fn) {
-
-  CLASSIC_ASSIGN_OR_RETURN(
-      NormalFormPtr root_nf,
-      kb.normalizer().NormalizeConcept(query.level_constraints[0]));
-  CLASSIC_ASSIGN_OR_RETURN(RetrievalResult level,
-                           level_fn(kb, *root_nf));
-  if (!query.has_marker || query.marker_roles.empty()) {
-    return level;
-  }
-
-  // Walk the marker chain: collect fillers, filter by level constraints.
-  RetrievalResult out;
-  out.stats = level.stats;
-  std::set<IndId> frontier(level.answers.begin(), level.answers.end());
-  for (size_t step = 0; step < query.marker_roles.size(); ++step) {
-    CLASSIC_ASSIGN_OR_RETURN(RoleId role,
-                             kb.vocab().FindRole(query.marker_roles[step]));
-    CLASSIC_ASSIGN_OR_RETURN(
-        NormalFormPtr constraint_nf,
-        kb.normalizer().NormalizeConcept(
-            query.level_constraints[step + 1]));
-    std::set<IndId> next;
-    for (IndId o : frontier) {
-      for (IndId f : kb.state(o).derived->role(role).fillers) {
-        if (next.count(f) > 0) continue;
-        ++out.stats.candidates_tested;
-        if (kb.Satisfies(f, *constraint_nf)) next.insert(f);
-      }
-    }
-    frontier = std::move(next);
-  }
-  out.answers.assign(frontier.begin(), frontier.end());
-  return out;
-}
-
-}  // namespace
-
 Result<RetrievalResult> Retrieve(const KnowledgeBase& kb, const Query& query) {
   return planner::RetrieveQuery(kb, query, nullptr);
 }
 
 Result<RetrievalResult> RetrieveNaive(const KnowledgeBase& kb,
                                       const Query& query) {
-  return RetrieveWith(kb, query, &RetrieveLevelNaive);
-}
-
-Result<std::vector<IndId>> RetrievePossible(const KnowledgeBase& kb,
-                                            const Query& query) {
-  return planner::RetrievePossible(kb, query, nullptr);
+  CLASSIC_ASSIGN_OR_RETURN(
+      NormalFormPtr root_nf,
+      kb.normalizer().NormalizeConcept(query.level_constraints[0]));
+  // Full scan of the root level: no classification, no index.
+  RetrievalResult root;
+  for (IndId i = 0; i < kb.num_visible_individuals(); ++i) {
+    ++root.stats.candidates_tested;
+    if (kb.Satisfies(i, *root_nf)) root.answers.push_back(i);
+  }
+  return planner::WalkMarker(kb, query, std::move(root), nullptr);
 }
 
 }  // namespace classic

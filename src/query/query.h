@@ -17,8 +17,9 @@
 //
 // Because of the open-world assumption three answer sets exist (paper
 // Section 6): individuals *known* to satisfy the query, individuals that
-// *might* satisfy it (not provably excluded), and the intensional
-// description of all possible answers (query/describe.h).
+// *might* satisfy it (not provably excluded; planner::RetrievePossible),
+// and the intensional description of all possible answers
+// (query/describe.h).
 
 #pragma once
 
@@ -79,21 +80,9 @@ struct RetrievalResult {
 /// using classification-based pruning.
 Result<RetrievalResult> Retrieve(const KnowledgeBase& kb, const Query& query);
 
-/// \brief Classified retrieval of one already-normalized concept (the
-/// primitive other evaluators — e.g. path queries — compose).
-Result<RetrievalResult> RetrieveNormalForm(const KnowledgeBase& kb,
-                                           const NormalForm& nf);
-
-/// \brief Baseline evaluator: tests every individual, no pruning.
+/// \brief Baseline evaluator: tests every individual, no pruning (the
+/// reference the planner is tested against).
 Result<RetrievalResult> RetrieveNaive(const KnowledgeBase& kb,
                                       const Query& query);
-
-/// \brief ask-possible-set: individuals that are not known to satisfy the
-/// query but are not provably excluded either (their known state is
-/// consistent with the query). Only meaningful under the open-world
-/// assumption. Marked queries are not supported (the marked position
-/// ranges over unknown fillers). Delegates to planner::RetrievePossible.
-Result<std::vector<IndId>> RetrievePossible(const KnowledgeBase& kb,
-                                            const Query& query);
 
 }  // namespace classic

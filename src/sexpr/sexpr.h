@@ -17,7 +17,7 @@
 #include <string_view>
 #include <vector>
 
-#include "util/status.h"
+#include "util/result.h"
 
 namespace classic::sexpr {
 

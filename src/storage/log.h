@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sexpr/sexpr.h"
+#include "util/result.h"
 #include "util/status.h"
 
 namespace classic::storage {

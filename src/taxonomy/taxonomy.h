@@ -41,7 +41,7 @@
 #include "subsume/subsume_index.h"
 #include "util/bitset.h"
 #include "util/cow.h"
-#include "util/status.h"
+#include "util/result.h"
 
 namespace classic {
 

@@ -3,9 +3,8 @@
 // Every fallible read entry point returns Result<T> (Status-plus-value,
 // in the style of Apache Arrow / RocksDB) instead of a Status with an
 // out-parameter; Status alone (util/status.h) is reserved for operations
-// with no payload. Split out of util/status.h so value-returning APIs
-// can name their dependency precisely; util/status.h still includes this
-// header as a compatibility shim for pre-split callers.
+// with no payload. Value-returning APIs include this header; it brings
+// util/status.h with it.
 
 #pragma once
 

@@ -120,8 +120,3 @@ class Status {
   } while (0)
 
 }  // namespace classic
-
-// Compatibility shim: Result<T> and CLASSIC_ASSIGN_OR_RETURN moved to
-// util/result.h; the bulk of the library predates the split and includes
-// only this header. New code should include util/result.h directly.
-#include "util/result.h"  // IWYU pragma: export

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "classic/interpreter.h"
 
 namespace classic {
@@ -157,6 +160,61 @@ TEST_F(InterpreterTest, ProgramStopsAtFirstError) {
   EXPECT_TRUE(db_.kb().vocab().FindRole(
       db_.kb().vocab().symbols().Lookup("r")).ok());
   EXPECT_EQ(db_.kb().vocab().symbols().Lookup("s"), kNoSymbol);
+}
+
+// Every read form has one path — Session::RequestFromForm, then
+// KbEngine::ServeQuery — so a form served from the live database and the
+// same form served as-of the epoch just published print the same bytes,
+// explained or not.
+TEST(InterpreterReadPathTest, LiveAndAsOfReadsPrintTheSameBytes) {
+  std::ifstream in(std::string(CLASSIC_EXAMPLES_DIR) + "/university.classic");
+  ASSERT_TRUE(in.good()) << "university.classic not found";
+  std::stringstream program;
+  program << in.rdbuf();
+
+  Database db;
+  Interpreter interp(&db);
+  auto loaded = interp.ExecuteProgram(program.str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto run = [&interp](const std::string& form) {
+    auto r = interp.ExecuteString(form);
+    EXPECT_TRUE(r.ok()) << form << ": " << r.status().ToString();
+    return r.ok() ? *r : std::string();
+  };
+  ASSERT_EQ(run("(publish)"), "epoch 1");
+
+  for (const std::string form : {
+           "(ask PERSON)",
+           "(ask-possible PERSON)",
+           "(ask-description STUDENT)",
+           "(select (?x ?y) (?x PERSON) (?x enrolled-at ?y))",
+           "(instances UNIVERSITY)",
+           "(msc Alice)",
+           "(describe Alice)",
+       }) {
+    const std::string live = run(form);
+    EXPECT_FALSE(live.empty()) << form;
+    EXPECT_EQ(run("(as-of 1 " + form + ")"), live) << form;
+    const std::string explained = run("(explain " + form + ")");
+    EXPECT_EQ(explained.rfind("(plan ", 0), 0u) << explained;
+    EXPECT_EQ(run("(as-of 1 (explain " + form + "))"), explained) << form;
+  }
+
+  // ask-description prints the description, then the most specific
+  // named concepts, one per line.
+  const std::string description = run("(ask-description STUDENT)");
+  EXPECT_EQ(description.substr(description.rfind('\n') + 1), "STUDENT")
+      << description;
+
+  // A request naming an epoch that was never published is NotFound,
+  // explained or not — it is never answered from the live database.
+  for (const char* form : {"(request ask \"STUDENT\" 7)",
+                           "(explain (request ask \"STUDENT\" 7))"}) {
+    auto r = interp.ExecuteString(form);
+    ASSERT_FALSE(r.ok()) << form << " answered " << *r;
+    EXPECT_EQ(r.status().code(), StatusCode::kNotFound)
+        << form << ": " << r.status().ToString();
+  }
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ class PathQueryTest : public ::testing::Test {
   }
 
   std::vector<std::vector<std::string>> Eval(const std::string& text) {
-    auto q = ParsePathQueryString(text, &db_.kb());
+    auto q = ParsePathQueryString(text, db_.kb());
     EXPECT_TRUE(q.ok()) << q.status().ToString() << " for " << text;
     if (!q.ok()) return {};
     auto r = EvaluatePathQuery(db_.kb(), *q);
@@ -127,27 +127,27 @@ TEST_F(PathQueryTest, EmptyResult) {
 
 TEST_F(PathQueryTest, RejectsUnconstrainedOutput) {
   EXPECT_FALSE(ParsePathQueryString("(select (?x) (?y PERSON))",
-                                    &db_.kb())
+                                    db_.kb())
                    .ok());
 }
 
 TEST_F(PathQueryTest, RejectsMalformedAtoms) {
   EXPECT_FALSE(
-      ParsePathQueryString("(select (?x))", &db_.kb()).ok());
+      ParsePathQueryString("(select (?x))", db_.kb()).ok());
   EXPECT_FALSE(ParsePathQueryString(
-                   "(select (?x) (?x r ?y ?z))", &db_.kb())
+                   "(select (?x) (?x r ?y ?z))", db_.kb())
                    .ok());
   EXPECT_FALSE(ParsePathQueryString(
-                   "(select (?x) (?x norole ?y))", &db_.kb())
+                   "(select (?x) (?x norole ?y))", db_.kb())
                    .ok());
   EXPECT_FALSE(ParsePathQueryString(
-                   "(select (x) (x PERSON))", &db_.kb())
+                   "(select (x) (x PERSON))", db_.kb())
                    .ok());
 }
 
 TEST_F(PathQueryTest, StatsAreReported) {
   auto q = ParsePathQueryString(
-      "(select (?p) (?p STUDENT) (?p thing-driven ?c))", &db_.kb());
+      "(select (?p) (?p STUDENT) (?p thing-driven ?c))", db_.kb());
   ASSERT_TRUE(q.ok());
   auto r = EvaluatePathQuery(db_.kb(), *q);
   ASSERT_TRUE(r.ok());

@@ -8,6 +8,7 @@
 
 #include "util/intern.h"
 #include "util/rng.h"
+#include "util/result.h"
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
