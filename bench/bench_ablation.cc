@@ -11,6 +11,7 @@
 
 #include "classic/database.h"
 #include "desc/normalize.h"
+#include "obs/metrics.h"
 #include "query/query.h"
 #include "util/string_util.h"
 #include "workload.h"
@@ -91,6 +92,7 @@ void RunInterningBench(benchmark::State& state, bool intern) {
     exprs.push_back(MakeConceptOfSize(&db, 128, 78 + (seed % 2)));
   }
   Normalizer norm(&db.kb().vocab(), Normalizer::Options{intern});
+  obs::CounterDeltaScope window;
   size_t n = 0;
   for (auto _ : state) {
     auto nf = norm.NormalizeConcept(exprs[n % exprs.size()]);
@@ -103,7 +105,8 @@ void RunInterningBench(benchmark::State& state, bool intern) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(n));
   if (intern) {
-    state.counters["store_hits"] = static_cast<double>(norm.store().hits());
+    state.counters["store_hits"] = static_cast<double>(
+        window.Deltas()[static_cast<size_t>(obs::Counter::kInternHits)]);
     state.counters["store_size"] = static_cast<double>(norm.store().size());
   }
 }

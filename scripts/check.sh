@@ -11,10 +11,11 @@
 # (explain ...) golden over the university example, and the selective
 # query-cost guard pinning the index-vs-scan gap at 100k individuals),
 # the serving gates (a quick loadgen run checked against the
-# BENCH_serving.json baseline, and the server smoke under ASan), then a
-# ThreadSanitizer build that runs the parallel suites — including the
-# serving reader-vs-writer race and the index-vs-scan equivalence
-# harness.
+# BENCH_serving.json baseline, the wire-benchmark smoke test comparing
+# every wire answer with the in-process one, and the server smoke under
+# ASan), then a ThreadSanitizer build that runs the parallel suites —
+# including the serving reader-vs-writer race and the index-vs-scan
+# equivalence harness.
 # Usage:
 #
 #   scripts/check.sh            # everything
@@ -96,6 +97,12 @@ if [[ "$TSAN_ONLY" -eq 0 ]]; then
   ./build/tools/serve_loadgen --file=examples/university.classic \
       --requests=2000 --open-seconds=2 --json |
     python3 scripts/check_serving_cost.py
+
+  echo "== perfbench: wire-benchmark smoke (tiny KBs, both workloads and passes)"
+  # Byte-compares every wire answer with the in-process answer and checks
+  # the op-log replay, so a change that breaks wire-answer identity fails
+  # here. Builds its own Release tree under .bench_build/ on first use.
+  python3 perfbench/smoke_test.py
 
   echo "== serve: server smoke under ASan+UBSan"
   cmake -B build-asan -S . -DCLASSIC_SANITIZE=ON > /dev/null

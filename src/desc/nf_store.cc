@@ -31,12 +31,10 @@ NormalFormPtr NormalFormStore::InternLocked(NormalForm nf) {
   auto& bucket = buckets_[h];
   for (NfId id : bucket) {
     if (forms_[id]->Equals(nf)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
       CLASSIC_OBS_COUNT(kInternHits);
       return forms_[id];
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   CLASSIC_OBS_COUNT(kInternMisses);
   NfId id = static_cast<NfId>(forms_.size());
   nf.nf_id_ = id;

@@ -22,7 +22,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -54,11 +53,6 @@ class NormalFormStore {
   /// by this store.
   const NormalFormPtr& form(NfId id) const { return forms_[id]; }
 
-  /// Number of lookups answered by an existing form.
-  size_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  /// Number of lookups that created a new form (== number of distinct
-  /// interned forms).
-  size_t misses() const { return misses_.load(std::memory_order_relaxed); }
   /// Number of distinct interned forms.
   size_t size() const { return forms_.size(); }
 
@@ -71,8 +65,6 @@ class NormalFormStore {
   std::unordered_map<size_t, std::vector<NfId>> buckets_;
   /// Dense id -> canonical form.
   StableVector<NormalFormPtr> forms_;
-  std::atomic<size_t> hits_{0};
-  std::atomic<size_t> misses_{0};
 };
 
 }  // namespace classic

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <set>
 
 #include "obs/histogram.h"
@@ -215,48 +214,37 @@ void Propagator::Realize(IndId ind) {
   CLASSIC_OBS_COUNT(kRealizations);
   obs::TraceSpan span("realize");
   const Taxonomy& tax = kb_->taxonomy_;
-  const std::set<NodeId>& already = kb_->StateRef(ind).subsumer_nodes;
-  std::set<NodeId> subs;
-  std::deque<NodeId> queue(tax.roots().begin(), tax.roots().end());
-  std::set<NodeId> seen(tax.roots().begin(), tax.roots().end());
-  while (!queue.empty()) {
-    NodeId node = queue.front();
-    queue.pop_front();
+  const size_t n = tax.num_nodes();
+  DynamicBitset already(n);
+  for (NodeId node : kb_->StateRef(ind).subsumer_nodes) already.Set(node);
+  DynamicBitset subs(n);
+  tax.WalkDown(tax.roots(), [&](NodeId node) {
     // Recognition is monotone ("every individual can move into a class
     // at most once"), so previously recognized nodes need no re-test.
-    if (already.count(node) == 0 && !kb_->Satisfies(ind, *tax.NodeForm(node))) {
-      continue;
+    if (!already.Test(node) && !kb_->Satisfies(ind, *tax.NodeForm(node))) {
+      return false;
     }
-    subs.insert(node);
-    for (NodeId child : tax.Children(node)) {
-      if (seen.insert(child).second) queue.push_back(child);
-    }
-  }
-  const IndividualState& st = kb_->StateRef(ind);
+    subs.Set(node);
+    return true;
+  });
   // Monotonicity guard: recognition never retracts (paper Section 5).
-  subs.insert(st.subsumer_nodes.begin(), st.subsumer_nodes.end());
-  if (subs == st.subsumer_nodes) return;
-  // Touch may path-copy the record's chunk; `st`/`already` stay valid
-  // (they alias the shared pre-copy chunk) but are stale from here on.
+  subs.OrWith(already);
+  if (subs == already) return;
   IndividualState& stw = Touch(ind);
-  for (NodeId node : subs) {
-    if (stw.subsumer_nodes.count(node) == 0 &&
+  stw.subsumer_nodes.clear();
+  stw.msc.clear();
+  subs.ForEach([&](size_t i) {
+    const NodeId node = static_cast<NodeId>(i);
+    if (!already.Test(node) &&
         kb_->instances_.Mutable(node).insert(ind).second) {
       journal_.instance_inserts.emplace_back(node, ind);
     }
-  }
-  stw.subsumer_nodes = std::move(subs);
-  stw.msc.clear();
-  for (NodeId node : stw.subsumer_nodes) {
-    bool most_specific = true;
+    stw.subsumer_nodes.insert(stw.subsumer_nodes.end(), node);
     for (NodeId child : tax.Children(node)) {
-      if (stw.subsumer_nodes.count(child) > 0) {
-        most_specific = false;
-        break;
-      }
+      if (subs.Test(child)) return;
     }
-    if (most_specific) stw.msc.insert(node);
-  }
+    stw.msc.insert(stw.msc.end(), node);
+  });
 }
 
 Status Propagator::FireRules(IndId ind) {

@@ -89,7 +89,6 @@ struct Prepared {
   /// full scan over the visible bound (no source at all).
   size_t base = std::numeric_limits<size_t>::max();
   size_t child_est = 0;  // summed subsumed-concept extension sizes
-  double sel = 1.0;      // static selectivity prior
   IndId visible = 0;
 };
 
@@ -97,7 +96,6 @@ Prepared Prepare(const KnowledgeBase& kb, const NormalForm& nf) {
   Prepared p;
   p.cls = kb.taxonomy().Classify(nf);
   p.visible = kb.num_visible_individuals();
-  p.sel = StaticSelectivity(nf, kb.vocab());
   if (p.cls.equivalent) return p;
 
   for (NodeId child : p.cls.children) {
@@ -141,9 +139,7 @@ Prepared Prepare(const KnowledgeBase& kb, const NormalForm& nf) {
   // Scan cost: test every instance of the smallest parent (the whole
   // visible population when only THING subsumes the query). Index cost:
   // materialize every source into a bitset, then test the survivors of
-  // the smallest source — bounded above by that source's size; the
-  // static selectivity prior scales how many survivors the residual
-  // test is expected to accept (it shows up in explain estimates).
+  // the smallest source — bounded above by that source's size.
   size_t scan_base = p.visible;
   for (size_t i = 0; i < num_taxonomy; ++i) {
     scan_base = std::min(scan_base, p.sources[i].size);
@@ -234,15 +230,18 @@ struct Acts {
 /// The canonical plan tree both paths share:
 ///   (concept (subsumed-instances ...)? (satisfies-filter <access path>))
 /// where the access path is a single source, an (intersect ...) of all
-/// sources, or (full-scan) when nothing constrains the candidates.
-PlanNode BuildTree(const KnowledgeBase& kb, const Prepared& p,
-                   const Acts* acts) {
+/// sources, or (full-scan) when nothing constrains the candidates. The
+/// static selectivity prior scales the estimated answers of the concept
+/// and the residual test; only plans read it, so it is computed here.
+PlanNode BuildTree(const KnowledgeBase& kb, const NormalForm& nf,
+                   const Prepared& p, const Acts* acts) {
+  const double sel = StaticSelectivity(nf, kb.vocab());
   const size_t base_size =
       p.base == std::numeric_limits<size_t>::max() ? p.visible
                                                    : p.sources[p.base].size;
   PlanNode root = Node("concept", {},
                        static_cast<uint64_t>(std::llround(
-                           p.sel * static_cast<double>(p.visible))));
+                           sel * static_cast<double>(p.visible))));
   if (acts != nullptr) root.act = acts->answers;
 
   if (!p.cls.children.empty()) {
@@ -253,7 +252,7 @@ PlanNode BuildTree(const KnowledgeBase& kb, const Prepared& p,
 
   PlanNode filter = Node("satisfies-filter", {},
                          static_cast<uint64_t>(std::llround(
-                             p.sel * static_cast<double>(base_size))));
+                             sel * static_cast<double>(base_size))));
   if (acts != nullptr) filter.act = acts->accepted;
 
   if (p.base == std::numeric_limits<size_t>::max()) {
@@ -330,7 +329,7 @@ PlanNode PlanConcept(const KnowledgeBase& kb, const NormalForm& nf) {
     const size_t n = kb.Instances(*p.cls.equivalent).size();
     return Node("equivalent-instances", {NodeName(kb, *p.cls.equivalent)}, n);
   }
-  return BuildTree(kb, p, nullptr);
+  return BuildTree(kb, nf, p, nullptr);
 }
 
 Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
@@ -453,7 +452,7 @@ Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
 
   acts.answers = answers.size();
   out.answers.assign(answers.begin(), answers.end());
-  if (plan != nullptr) *plan = BuildTree(kb, p, &acts);
+  if (plan != nullptr) *plan = BuildTree(kb, nf, p, &acts);
   return out;
 }
 

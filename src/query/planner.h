@@ -18,8 +18,7 @@
 //                   definite under the unique-name assumption),
 //
 // picks the cheapest base by a cost model (observed set sizes, blended
-// with the live memo-hit rate for the per-candidate test cost, with the
-// PR 9 static selectivity profile as the residual-cardinality prior),
+// with the live memo-hit rate for the per-candidate test cost),
 // intersects the rest as DynamicBitsets over the frozen
 // visible-individual bound, and only then falls back to per-candidate
 // Satisfies. ALL / AT-LEAST / TEST / SAME-AS conjuncts are *not*
@@ -29,7 +28,10 @@
 //
 // Every plan is explainable: PlanNode renders to a canonical sexpr with
 // estimated and actual per-node cardinalities, surfaced through
-// QueryRequest::explain (wire + repl `(explain <query>)`).
+// QueryRequest::explain (wire + repl `(explain <query>)`). The static
+// selectivity profile (query/selectivity.h) is the residual-cardinality
+// prior of those estimates only; it plays no part in the access-path
+// choice, and is computed only when a plan is rendered.
 
 #pragma once
 

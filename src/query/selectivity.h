@@ -4,7 +4,8 @@
 // The estimate is purely structural — no extension is consulted — so it
 // is a *prior*: the planner blends it with live observations (actual
 // postings lengths, instance-set sizes) to estimate residual
-// cardinalities, and the profile reports it per concept so a reviewer
+// cardinalities in (explain ...) plans — never to choose an access
+// path — and the profile reports it per concept so a reviewer
 // can read the planner's prior without running queries.
 
 #pragma once

@@ -14,24 +14,17 @@ SubsumptionIndex::Table::Table(size_t capacity)
 std::optional<bool> SubsumptionIndex::Lookup(NfId general,
                                              NfId specific) const {
   const Table* t = live_.load(std::memory_order_acquire);
-  if (t == nullptr) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
+  if (t == nullptr) return std::nullopt;
   const uint64_t key = PackKey(general, specific);
   size_t i = HashKey(key) & t->mask;
   for (;;) {
     const uint64_t k = t->keys[i].load(std::memory_order_acquire);
     if (k == key) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
       // The verdict byte was written before the key was published, so
       // the acquire above makes it visible; it never changes after.
       return t->vals[i] != 0;
     }
-    if (k == kEmptyKey) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
+    if (k == kEmptyKey) return std::nullopt;
     i = (i + 1) & t->mask;
   }
 }

@@ -9,7 +9,8 @@
 //
 // The table is open-addressing with linear probing over a power-of-two
 // array of packed 64-bit keys; a lookup is one hash, one probe run, no
-// allocation, no locks.
+// allocation, no locks and no shared writes (callers count hits and
+// misses in their thread-local obs counters).
 //
 // Concurrency: any number of threads may Lookup while others Insert.
 // Readers probe the live table with acquire loads and never block; a
@@ -54,9 +55,6 @@ class SubsumptionIndex {
 
   /// Number of recorded verdicts.
   size_t size() const { return size_.load(std::memory_order_relaxed); }
-  /// Lookup outcomes, for instrumentation.
-  size_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  size_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
  private:
   static constexpr uint64_t kEmptyKey = ~uint64_t{0};
@@ -95,8 +93,6 @@ class SubsumptionIndex {
   std::vector<std::unique_ptr<Table>> generations_;
   std::mutex insert_mutex_;
   std::atomic<size_t> size_{0};
-  mutable std::atomic<size_t> hits_{0};
-  mutable std::atomic<size_t> misses_{0};
 };
 
 }  // namespace classic

@@ -1,8 +1,6 @@
 #include "taxonomy/taxonomy.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
 
 #include "desc/description.h"
 #include "obs/metrics.h"
@@ -60,13 +58,12 @@ Classification Taxonomy::ClassifyInternal(
   CLASSIC_OBS_COUNT(kClassifications);
   Classification out;
   size_t tests = 0;
+  const size_t n = nodes_.size();
 
-  // Per-call verdict views over the persistent index. The map keeps each
-  // node's verdict at hand for the DAG sweeps; the persistent index makes
-  // verdicts survive this call (and supplies them to the next one).
-  std::unordered_map<NodeId, bool> up;    // node's form subsumes nf?
-  std::unordered_map<NodeId, bool> down;  // nf subsumes node's form?
-
+  // Verdicts come from the persistent index when known, which makes them
+  // survive this call (and supplies them to the next one). Within the
+  // call, each walk offers a node once, so every node is decided at most
+  // once per direction.
   auto decide = [&](const NormalForm& general, const NormalForm& specific)
       -> bool {
     const NfId gid = general.interned_id();
@@ -81,117 +78,74 @@ Classification Taxonomy::ClassifyInternal(
     ++tests;
     return Subsumes(general, specific, subsume_index_.get());
   };
-  auto node_subsumes_target = [&](NodeId node) {
-    auto [it, inserted] = up.try_emplace(node, false);
-    if (inserted) it->second = decide(*nodes_[node].nf, nf);
-    return it->second;
-  };
-  auto target_subsumes_node = [&](NodeId node) {
-    auto [it, inserted] = down.try_emplace(node, false);
-    if (inserted) it->second = decide(nf, *nodes_[node].nf);
-    return it->second;
-  };
 
   // Told subsumers (and, transitively, their ancestors) subsume the
   // target by construction: mark them proven so the top-down sweep walks
   // straight through them without testing.
+  DynamicBitset proven(n);
   if (told_subsumers != nullptr) {
     for (NodeId t : *told_subsumers) {
-      if (t >= nodes_.size()) continue;
-      up[t] = true;
-      ancestor_sets_[t].ForEach(
-          [&up](size_t a) { up[static_cast<NodeId>(a)] = true; });
+      if (t >= n) continue;
+      proven.Set(t);
+      proven.OrWith(ancestor_sets_[t]);
     }
   }
 
   // --- Phase 1: most-specific subsumers (top-down). The set of subsumers
   // is upward-closed, so a node is worth visiting only through a subsuming
   // parent chain.
-  std::set<NodeId> subsumers;
-  {
-    std::deque<NodeId> queue(roots_.begin(), roots_.end());
-    std::set<NodeId> seen(roots_.begin(), roots_.end());
-    while (!queue.empty()) {
-      NodeId node = queue.front();
-      queue.pop_front();
-      if (!node_subsumes_target(node)) continue;
-      subsumers.insert(node);
-      for (NodeId child : nodes_[node].children) {
-        if (seen.insert(child).second) queue.push_back(child);
-      }
+  DynamicBitset subsumers(n);
+  WalkDown(roots_, [&](NodeId node) {
+    if (!proven.Test(node) && !decide(*nodes_[node].nf, nf)) return false;
+    subsumers.Set(node);
+    return true;
+  });
+  subsumers.ForEach([&](size_t node) {
+    for (NodeId child : nodes_[node].children) {
+      if (subsumers.Test(child)) return;
     }
-    for (NodeId node : subsumers) {
-      bool most_specific = true;
-      for (NodeId child : nodes_[node].children) {
-        if (subsumers.count(child) > 0) {
-          most_specific = false;
-          break;
-        }
-      }
-      if (most_specific) out.parents.push_back(node);
-    }
-    std::sort(out.parents.begin(), out.parents.end());
-  }
+    out.parents.push_back(static_cast<NodeId>(node));
+  });
 
   // Equivalence: a most-specific subsumer that the target also subsumes.
+  DynamicBitset rejected(n);  // parents the target does not subsume
   for (NodeId p : out.parents) {
-    if (target_subsumes_node(p)) {
+    if (decide(nf, *nodes_[p].nf)) {
       out.equivalent = p;
       out.children.assign(nodes_[p].children.begin(),
                           nodes_[p].children.end());
       out.subsumption_tests = tests;
       return out;
     }
+    rejected.Set(p);
   }
 
-  // --- Phase 2: most-general subsumees (downward from the parents). Every
-  // subsumee is a descendant of all parents, so the search starts at the
-  // parents' children. A failing node's descendants may still pass, so
-  // failures recurse; successes stop (their descendants are subsumees but
-  // not most general).
-  std::set<NodeId> subsumees;
-  {
-    std::deque<NodeId> queue;
-    std::set<NodeId> seen;
-    if (out.parents.empty()) {
-      // The target sits directly under THING: every root is a candidate
-      // subsumee.
-      for (NodeId r : roots_) {
-        if (seen.insert(r).second) queue.push_back(r);
-      }
-    }
-    for (NodeId p : out.parents) {
-      for (NodeId c : nodes_[p].children) {
-        if (seen.insert(c).second) queue.push_back(c);
-      }
-    }
-    while (!queue.empty()) {
-      NodeId node = queue.front();
-      queue.pop_front();
-      if (target_subsumes_node(node)) {
-        subsumees.insert(node);
-        continue;
-      }
-      for (NodeId child : nodes_[node].children) {
-        if (seen.insert(child).second) queue.push_back(child);
-      }
-    }
-    // Keep only nodes with no subsumed strict ancestor among the found
-    // set; because we stop descending at successes, found nodes are
-    // incomparable unless reachable by different paths — filter to be
-    // safe.
-    for (NodeId node : subsumees) {
-      bool most_general = true;
-      for (NodeId parent : nodes_[node].parents) {
-        if (subsumees.count(parent) > 0) {
-          most_general = false;
-          break;
-        }
-      }
-      if (most_general) out.children.push_back(node);
-    }
-    std::sort(out.children.begin(), out.children.end());
+  // --- Phase 2: most-general subsumees (downward from the parents, which
+  // the walk passes straight through). Every subsumee is a descendant of
+  // all parents; with no parents the target sits directly under THING
+  // and every root is a candidate. A failing node's descendants may still
+  // pass, so failures recurse; successes stop (their descendants are
+  // subsumees but not most general).
+  DynamicBitset subsumees(n);
+  auto down = [&](NodeId node) {
+    if (rejected.Test(node) || !decide(nf, *nodes_[node].nf)) return true;
+    subsumees.Set(node);
+    return false;
+  };
+  if (out.parents.empty()) {
+    WalkDown(roots_, down);
+  } else {
+    WalkDown(out.parents, down);
   }
+  // Keep only nodes with no subsumed strict ancestor among the found set;
+  // because the walk stops at successes, found nodes are incomparable
+  // unless reachable by different paths — filter to be safe.
+  subsumees.ForEach([&](size_t node) {
+    for (NodeId parent : nodes_[node].parents) {
+      if (subsumees.Test(parent)) return;
+    }
+    out.children.push_back(static_cast<NodeId>(node));
+  });
 
   out.subsumption_tests = tests;
   return out;
@@ -237,16 +191,10 @@ Result<NodeId> Taxonomy::Insert(ConceptId cid) {
       anc.OrWith(ancestor_sets_[p]);
     }
     ancestor_sets_.push_back(std::move(anc));
-    std::deque<NodeId> queue(cls.children.begin(), cls.children.end());
-    std::set<NodeId> seen(cls.children.begin(), cls.children.end());
-    while (!queue.empty()) {
-      NodeId d = queue.front();
-      queue.pop_front();
+    WalkDown(cls.children, [&](NodeId d) {
       ancestor_sets_.Mutable(d).Set(node);
-      for (NodeId c : nodes_[d].children) {
-        if (seen.insert(c).second) queue.push_back(c);
-      }
-    }
+      return true;
+    });
   }
 
   // Splice between parents and children: drop parent->child edges that the
@@ -286,19 +234,11 @@ std::vector<NodeId> Taxonomy::Ancestors(NodeId node) const {
 }
 
 std::vector<NodeId> Taxonomy::Descendants(NodeId node) const {
-  std::set<NodeId> seen;
-  std::deque<NodeId> queue(nodes_[node].children.begin(),
-                           nodes_[node].children.end());
-  for (NodeId c : queue) seen.insert(c);
   std::vector<NodeId> out;
-  while (!queue.empty()) {
-    NodeId n = queue.front();
-    queue.pop_front();
-    out.push_back(n);
-    for (NodeId c : nodes_[n].children) {
-      if (seen.insert(c).second) queue.push_back(c);
-    }
-  }
+  WalkDown(nodes_[node].children, [&out](NodeId d) {
+    out.push_back(d);
+    return true;
+  });
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -13,7 +13,11 @@
 // Classification uses the standard two-phase search: a top-down sweep for
 // the most-specific subsumers (exploiting that the subsumer set is
 // upward-closed) followed by a downward sweep from those parents for the
-// most-general subsumees. Three layers keep the constant factors down:
+// most-general subsumees. Both sweeps, KB realization, the ancestor-index
+// update on insert and Descendants run through one downward walk
+// (WalkDown) over dense NodeId-indexed scratch: a vector queue and word
+// bitsets, allocated per call, so no search allocates per node. Three
+// layers keep the constant factors down:
 //
 //  - every subsumption verdict lands in a persistent SubsumptionIndex
 //    keyed on interned NfIds (verdicts never go stale, so the index is
@@ -130,6 +134,32 @@ class Taxonomy {
 
   /// \brief All (transitive) descendants, excluding the node itself.
   std::vector<NodeId> Descendants(NodeId node) const;
+
+  /// \brief The one downward breadth-first walk every taxonomy search
+  /// uses (classification, realization, ancestor-index upkeep,
+  /// Descendants). Starting from `starts`, each node reachable through
+  /// descended nodes is offered to `visit` exactly once, in BFS order;
+  /// `visit(node)` returns whether to descend into the node's children.
+  /// The queue and seen set are dense NodeId-indexed scratch sized to
+  /// num_nodes() and owned by the call, so concurrent walks over one
+  /// published snapshot share nothing.
+  template <typename Starts, typename Visit>
+  void WalkDown(const Starts& starts, Visit&& visit) const {
+    std::vector<NodeId> queue;
+    queue.reserve(nodes_.size());
+    DynamicBitset seen(nodes_.size());
+    auto push = [&queue, &seen](NodeId n) {
+      if (seen.Test(n)) return;
+      seen.Set(n);
+      queue.push_back(n);
+    };
+    for (NodeId n : starts) push(n);
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const NodeId node = queue[head];
+      if (!visit(node)) continue;
+      for (NodeId child : nodes_[node].children) push(child);
+    }
+  }
 
   /// \brief Every node, ancestors before descendants (deterministic:
   /// among nodes whose parents are all emitted, lowest id first). The

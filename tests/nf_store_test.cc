@@ -8,6 +8,7 @@
 #include "desc/normalize.h"
 #include "desc/parser.h"
 #include "desc/vocabulary.h"
+#include "obs/metrics.h"
 
 namespace classic {
 namespace {
@@ -32,13 +33,17 @@ class NfStoreTest : public ::testing::Test {
 };
 
 TEST_F(NfStoreTest, StructurallyEqualFormsShareOneObject) {
+  [[maybe_unused]] obs::CounterDeltaScope window;
   NormalFormPtr a = NF("(AND (AT-LEAST 2 r) (AT-MOST 5 s))");
   // Same meaning, different surface order: the normalizer canonicalizes,
   // the store dedups.
   NormalFormPtr b = NF("(AND (AT-MOST 5 s) (AT-LEAST 2 r))");
   EXPECT_EQ(a.get(), b.get());
   EXPECT_NE(a->interned_id(), kNoNfId);
-  EXPECT_GE(norm_.store().hits(), 1u);
+#if CLASSIC_OBS
+  EXPECT_GE(window.Deltas()[static_cast<size_t>(obs::Counter::kInternHits)],
+            1u);
+#endif
 }
 
 TEST_F(NfStoreTest, DistinctFormsGetDistinctDenseIds) {
@@ -107,12 +112,16 @@ TEST_F(NfStoreTest, StoreCountsDistinctForms) {
   NormalFormStore store;
   size_t before = store.size();
   NormalForm thing;  // vacuous THING form
+  [[maybe_unused]] obs::CounterDeltaScope window;
   NormalFormPtr t1 = store.Intern(NormalForm(thing));
   NormalFormPtr t2 = store.Intern(NormalForm(thing));
   EXPECT_EQ(t1.get(), t2.get());
   EXPECT_EQ(store.size(), before + 1);
-  EXPECT_EQ(store.hits(), 1u);
-  EXPECT_EQ(store.misses(), 1u);
+#if CLASSIC_OBS
+  const obs::CounterArray d = window.Deltas();
+  EXPECT_EQ(d[static_cast<size_t>(obs::Counter::kInternHits)], 1u);
+  EXPECT_EQ(d[static_cast<size_t>(obs::Counter::kInternMisses)], 1u);
+#endif
 }
 
 }  // namespace
