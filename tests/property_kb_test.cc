@@ -20,6 +20,7 @@
 
 #include "classic/database.h"
 #include "desc/parser.h"
+#include "index_check.h"
 #include "kb/kb_engine.h"
 #include "query/planner.h"
 #include "query/query.h"
@@ -88,6 +89,7 @@ class RandomDb {
         break;
     }
     Status st = db_.AssertInd(ind, expr);
+    EXPECT_TRUE(CheckIndexes(db_.kb())) << ind << " " << expr;
     if (st.ok()) accepted_.emplace_back(ind, expr);
     return st.ok();
   }
@@ -120,6 +122,7 @@ class RandomDb {
         return Step();
     }
     Status st = db_.AssertInd(ind, expr);
+    EXPECT_TRUE(CheckIndexes(db_.kb())) << ind << " " << expr;
     if (st.ok()) accepted_.emplace_back(ind, expr);
     return st.ok();
   }
@@ -347,7 +350,11 @@ TEST_P(KbPropertyTest, RetractReassertRoundTrips) {
       rdb.accepted()[rdb.rng().Below(rdb.accepted().size())];
   std::string before = storage::DumpDatabase(rdb.db().kb());
   ASSERT_TRUE(rdb.db().RetractInd(ind, expr).ok()) << ind << " " << expr;
+  EXPECT_TRUE(CheckIndexes(rdb.db().kb()))
+      << "retracted " << ind << " " << expr;
   Status st = rdb.db().AssertInd(ind, expr);
+  EXPECT_TRUE(CheckIndexes(rdb.db().kb()))
+      << "reasserted " << ind << " " << expr;
   ASSERT_TRUE(st.ok()) << st.ToString();
   // The base (and hence all derivations) is restored up to assertion
   // order within the individual; extensions must match exactly.
