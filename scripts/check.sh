@@ -13,7 +13,9 @@
 # the serving gates (a quick loadgen run checked against the
 # BENCH_serving.json baseline, the wire-benchmark smoke test comparing
 # every wire answer with the in-process one, and the server smoke under
-# ASan), then a ThreadSanitizer build that runs the parallel suites —
+# ASan), the store suites under ASan (copy-on-write values shared across
+# epochs, epochs freed after unlock), then a ThreadSanitizer build that
+# runs the parallel suites —
 # including the serving reader-vs-writer race and the index-vs-scan
 # equivalence harness.
 # Usage:
@@ -104,11 +106,18 @@ if [[ "$TSAN_ONLY" -eq 0 ]]; then
   # here. Builds its own Release tree under .bench_build/ on first use.
   python3 perfbench/smoke_test.py
 
-  echo "== serve: server smoke under ASan+UBSan"
+  echo "== asan: server smoke and the store suites under ASan+UBSan"
   cmake -B build-asan -S . -DCLASSIC_SANITIZE=ON > /dev/null
-  cmake --build build-asan -j"$JOBS" --target serve_test classic_serve
+  cmake --build build-asan -j"$JOBS" --target serve_test classic_serve \
+    epoch_persistence_test propagate_determinism_test retract_test \
+    property_kb_test planner_test
   ./build-asan/tests/serve_test
   ./build-asan/tools/classic_serve --self-check examples/university.classic
+  for t in epoch_persistence_test propagate_determinism_test retract_test \
+      property_kb_test planner_test; do
+    echo "== asan: $t"
+    ./build-asan/tests/"$t"
+  done
 
   echo "== obs: -DCLASSIC_OBS=OFF build (instrumentation compiles out)"
   cmake -B build-noobs -S . -DCLASSIC_OBS=OFF > /dev/null

@@ -33,10 +33,11 @@ struct QueryRequest;
 
 /// \brief A CLASSIC database instance. Single-writer; not thread-safe by
 /// itself — for concurrent query serving, hand kb() to
-/// KbEngine::ResetFrom (kb/kb_engine.h), which forks it copy-on-write
+/// KbEngine::PublishFrom (kb/kb_engine.h), which copies it copy-on-write
 /// and publishes immutable epoch snapshots to any number of reader
-/// threads. Publication is O(mutations since the last epoch), not
-/// O(database): snapshots share chunked storage with the master.
+/// threads. Publication does not copy the database's contents:
+/// snapshots share chunked storage with the master, and the writer
+/// copies only what it changes afterwards.
 class Database {
  public:
   Database();

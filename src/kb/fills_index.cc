@@ -1,31 +1,21 @@
 #include "kb/fills_index.h"
 
+#include <algorithm>
+
 namespace classic {
 
-std::vector<IndId> FillsIndex::HostRange(RoleId role, const HostValue& lo,
-                                         const HostValue& hi) const {
-  std::set<IndId> hosts;
-  const std::map<HostValue, IndId>* by_value = HostFillers(role);
-  if (by_value == nullptr) return {};
-  for (auto it = by_value->lower_bound(lo);
-       it != by_value->end() && !(hi < it->first); ++it) {
-    if (const std::set<IndId>* p = Postings(role, it->second)) {
-      hosts.insert(p->begin(), p->end());
-    }
+std::vector<IndId> FillsIndex::Holders(IndId filler) const {
+  const RolePostings* by_role = by_filler_.Find(filler);
+  if (by_role == nullptr) return {};
+  std::vector<IndId> out;
+  for (const auto& [role, holders] : *by_role) {
+    out.insert(out.end(), holders.begin(), holders.end());
   }
-  return {hosts.begin(), hosts.end()};
-}
-
-bool FillsIndex::Add(RoleId role, IndId filler, IndId host,
-                     const Vocabulary& vocab) {
-  if (!postings_.Mutable(Key(role, filler)).insert(host).second) {
-    return false;
+  if (by_role->size() > 1) {
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
   }
-  const IndInfo& info = vocab.individual(filler);
-  if (info.kind == IndKind::kHost && info.host.has_value()) {
-    host_fillers_.Mutable(role).emplace(*info.host, filler);
-  }
-  return true;
+  return out;
 }
 
 }  // namespace classic

@@ -4,10 +4,12 @@
 //
 //   - a single writer thread calls Mutate() (or edits master() directly
 //     and calls Publish()); every successful mutation round publishes a
-//     fresh immutable epoch (kb/epoch.h). Publication is a copy-on-write
-//     fork — O(mutations since the last publish), not O(database) — so
-//     the engine can afford to keep a ring of recent epochs alive and
-//     serve "as of epoch N" queries against them (QueryRequest::AsOf);
+//     fresh immutable epoch (kb/epoch.h). Publication copies the
+//     database's copy-on-write stores (util/cow.h) without copying their
+//     contents — the writer pays for what it changes, once per epoch —
+//     so the engine can afford to keep a ring of recent epochs alive and
+//     serve "as of epoch N" queries against them (QueryRequest::AsOf). An
+//     epoch leaving the ring is freed outside the reader mutex;
 //   - any number of reader threads call snapshot() / ServeQuery() /
 //     QueryBatch(); readers never block the writer and never observe a
 //     half-applied update — they hold whole-database snapshots;
@@ -210,22 +212,13 @@ class KbEngine {
   /// changes become visible to readers at the next Publish().
   KnowledgeBase& master() { return *master_; }
 
-  /// \brief Replaces the master (e.g. with a Clone() of a database built
-  /// through the classic::Database facade) and publishes it as a fresh
-  /// epoch. Writer-side only.
-  SnapshotPtr Reset(std::unique_ptr<KnowledgeBase> master);
-
-  /// \brief Adopts `source` as the master via its O(delta) copy-on-write
-  /// Clone() and publishes. The source stays usable; the engine's copies
-  /// share chunk storage with it.
-  SnapshotPtr ResetFrom(const KnowledgeBase& source);
-
-  /// \brief Captures `source`'s current state as the next epoch of the
-  /// SAME lineage: unlike Reset/ResetFrom, the retained-epoch ring is
-  /// kept, so earlier captures stay queryable as-of. Successive captures
-  /// of an evolving database share chunk storage with it and with each
-  /// other — each publish costs only that round's delta. Non-const: the
-  /// source's copy-down counters are drained into the
+  /// \brief The one way to hand a database to the engine: adopts a
+  /// copy-on-write copy of `source` as the master and publishes it as
+  /// the next epoch. The source stays usable and shares chunk storage
+  /// with the engine's copies; earlier captures stay retained, so
+  /// successive captures of an evolving database form one lineage
+  /// queryable as-of, each publish costing only that round's delta.
+  /// Non-const: the source's copy counters are drained into the
   /// `publish-chunks-copied` figure for this epoch.
   SnapshotPtr PublishFrom(KnowledgeBase& source);
 
@@ -234,14 +227,14 @@ class KbEngine {
   /// are themselves atomic, so the master is still consistent).
   Status Mutate(const std::function<Status(KnowledgeBase*)>& fn);
 
-  /// \brief Forks the master copy-on-write (O(delta) in the mutations
-  /// since the previous publish — chunked stores share chunk
-  /// directories, instance indexes share frozen delta layers), freezes
+  /// \brief Copies the master copy-on-write (every store shares its
+  /// chunk directory; the cost is independent of database size), freezes
   /// its visible-individual bound and atomically installs it as the
   /// current epoch. Returns the new snapshot. Readers already holding
   /// older epochs are unaffected; the engine additionally retains the
-  /// last kRetainedEpochs epochs for as-of serving, after which retired
-  /// epochs are reclaimed when their last holder releases them.
+  /// last kRetainedEpochs epochs for as-of serving. An epoch leaving the
+  /// ring is freed after the reader mutex is released (or by its last
+  /// reader), so readers never wait on its destructor.
   SnapshotPtr Publish();
 
   /// How many recent epochs Publish keeps alive for as-of queries.
@@ -301,7 +294,8 @@ class KbEngine {
   /// Current epoch; written by Publish (writer), read by everyone.
   std::shared_ptr<const KbSnapshot> current_;
   /// Ring of the last kRetainedEpochs published epochs (oldest first),
-  /// kept alive for as-of queries. Guarded by current_mutex_.
+  /// kept alive for as-of queries. Guarded by current_mutex_, which
+  /// Publish never holds while an epoch is destroyed.
   std::vector<std::shared_ptr<const KbSnapshot>> retained_;
   mutable std::mutex current_mutex_;
 

@@ -12,8 +12,8 @@ namespace classic {
 
 namespace {
 
-const std::set<IndId>& EmptyIndSet() {
-  static const std::set<IndId> kEmpty;
+const DynamicBitset& EmptyExtension() {
+  static const DynamicBitset kEmpty;
   return kEmpty;
 }
 
@@ -65,9 +65,8 @@ KnowledgeBase::KnowledgeBase()
 
 // The copy-on-write epoch copy: vocabulary, normalizer and subsumption
 // memo are shared outright (they are internally synchronized interning
-// caches whose growth never changes database meaning); the chunked
-// stores share chunk directories; the delta maps freeze their overlays
-// and share every layer. Cost is O(accumulated delta), independent of
+// caches whose growth never changes database meaning); every store is a
+// CowVector and shares its chunk directory. Cost is independent of
 // database size.
 KnowledgeBase::KnowledgeBase(const KnowledgeBase& other)
     : vocab_(other.vocab_),
@@ -76,11 +75,10 @@ KnowledgeBase::KnowledgeBase(const KnowledgeBase& other)
       states_(other.states_),
       visible_ind_limit_(other.visible_ind_limit_),
       base_log_(other.base_log_),
-      instances_(other.instances_.Fork()),
-      rules_on_node_(other.rules_on_node_.Fork()),
+      instances_(other.instances_),
+      rules_on_node_(other.rules_on_node_),
       rules_(other.rules_),
-      referenced_by_(other.referenced_by_.Fork()),
-      fills_index_(other.fills_index_.Fork()),
+      fills_index_(other.fills_index_),
       stats_(other.stats_) {}
 
 std::unique_ptr<KnowledgeBase> KnowledgeBase::Clone() const {
@@ -88,19 +86,15 @@ std::unique_ptr<KnowledgeBase> KnowledgeBase::Clone() const {
 }
 
 size_t KnowledgeBase::TakeCowCopyCount() {
-  return states_.TakeChunkCopies() + base_log_.TakeChunkCopies() +
-         instances_.TakeValueCopies() + referenced_by_.TakeValueCopies() +
-         fills_index_.TakeValueCopies() + rules_on_node_.TakeValueCopies() +
-         taxonomy_.TakeCowCopies();
+  return states_.TakeCopies() + base_log_.TakeCopies() +
+         instances_.TakeCopies() + rules_on_node_.TakeCopies() +
+         fills_index_.TakeCopies() + taxonomy_.TakeCowCopies();
 }
 
 size_t KnowledgeBase::ApproxSharedCowBytes() const {
   return states_.ApproxChunkBytes() + base_log_.ApproxChunkBytes() +
-         taxonomy_.ApproxSharedBytes() +
-         (instances_.ApproxFrozenEntries() +
-          referenced_by_.ApproxFrozenEntries() +
-          fills_index_.ApproxFrozenEntries()) *
-             sizeof(std::pair<IndId, std::set<IndId>>);
+         instances_.ApproxChunkBytes() + rules_on_node_.ApproxChunkBytes() +
+         fills_index_.ApproxChunkBytes() + taxonomy_.ApproxSharedBytes();
 }
 
 Result<RoleId> KnowledgeBase::DefineRole(std::string_view name,
@@ -142,19 +136,14 @@ Result<ConceptId> KnowledgeBase::DefineConcept(std::string_view name,
   } else {
     NodeId smallest = *parents.begin();
     for (NodeId p : parents) {
-      if (Instances(p).size() < Instances(smallest).size()) smallest = p;
+      if (Instances(p).Count() < Instances(smallest).Count()) smallest = p;
     }
-    for (IndId i : Instances(smallest)) {
-      bool in_all = true;
+    Instances(smallest).ForEach([&](size_t i) {
       for (NodeId p : parents) {
-        if (p == smallest) continue;
-        if (Instances(p).count(i) == 0) {
-          in_all = false;
-          break;
-        }
+        if (p != smallest && !Instances(p).Test(i)) return;
       }
-      if (in_all) seeds.push_back(i);
-    }
+      seeds.push_back(static_cast<IndId>(i));
+    });
   }
   if (!seeds.empty()) {
     Status st = Propagate(seeds);
@@ -186,14 +175,14 @@ Result<size_t> KnowledgeBase::AssertRule(std::string_view antecedent_name,
   }
   size_t idx = rules_.size();
   rules_.push_back({node, cid, consequent, nf});
-  rules_on_node_.Mutable(node).push_back(idx);
+  rules_on_node_.MutableValue(node).push_back(idx);
 
   // Fire immediately for current instances (complete propagation).
-  std::vector<IndId> seeds(Instances(node).begin(), Instances(node).end());
+  const std::vector<IndId> seeds = Instances(node).ToVector();
   if (!seeds.empty()) {
     Status st = Propagate(seeds);
     if (!st.ok()) {
-      rules_on_node_.Mutable(node).pop_back();
+      rules_on_node_.MutableValue(node).pop_back();
       rules_.pop_back();
       return st.WithContext("rule rejected: firing it contradicts the DB");
     }
@@ -412,7 +401,6 @@ Status KnowledgeBase::RederiveAll() {
     st.derived = IntrinsicForm(static_cast<IndId>(i));
   }
   instances_.Clear();
-  referenced_by_.Clear();
   fills_index_.Clear();
 
   Propagator prop(this);
@@ -446,16 +434,9 @@ bool KnowledgeBase::IsClassicIndividual(IndId ind) const {
   return vocab_->individual(ind).kind == IndKind::kClassic;
 }
 
-const std::set<IndId>& KnowledgeBase::Instances(NodeId node) const {
-  const std::set<IndId>* inds = instances_.Find(node);
-  if (inds == nullptr) return EmptyIndSet();
-  return *inds;
-}
-
-const std::set<IndId>& KnowledgeBase::Referencers(IndId ind) const {
-  const std::set<IndId>* refs = referenced_by_.Find(ind);
-  if (refs == nullptr) return EmptyIndSet();
-  return *refs;
+const DynamicBitset& KnowledgeBase::Instances(NodeId node) const {
+  const DynamicBitset* inds = instances_.Find(node);
+  return inds == nullptr ? EmptyExtension() : *inds;
 }
 
 std::vector<IndId> KnowledgeBase::AllClassicIndividuals() const {
@@ -627,7 +608,7 @@ Status KnowledgeBase::Repropagate() { return Propagate(AllClassicIndividuals());
 std::string KnowledgeBase::CanonicalDerivedState() const {
   // Everything rendered here is a deterministic function of stable ids:
   // normal forms print id-sorted atom/filler/role sets, instance sets
-  // are ordered std::set<IndId>, and propagation interns no new ids
+  // iterate in ascending IndId order, and propagation interns no new ids
   // (Meet/Tighten only combine existing ones) — so two runs that derive
   // the same fixed point print the same bytes.
   std::string out;
@@ -676,12 +657,12 @@ std::string KnowledgeBase::CanonicalDerivedState() const {
     }
     out += "] instances={";
     first = true;
-    for (IndId ind : Instances(node)) {
-      if (ind >= limit) continue;
+    Instances(node).ForEach([&](size_t ind) {
+      if (ind >= limit) return;
       if (!first) out += ",";
       first = false;
-      out += vocab_->IndividualName(ind);
-    }
+      out += vocab_->IndividualName(static_cast<IndId>(ind));
+    });
     out += "}\n";
   }
   return out;

@@ -60,14 +60,10 @@ void Propagator::RollbackAll() {
     kb_->MutableState(ind) = std::move(saved);
   }
   for (const auto& [node, ind] : journal_.instance_inserts) {
-    kb_->instances_.Mutable(node).erase(ind);
+    kb_->instances_.MutableValue(node).Reset(ind);
   }
-  for (const auto& [filler, host] : journal_.refs_added) {
-    kb_->referenced_by_.Mutable(filler).erase(host);
-  }
-  for (const auto& [key, host] : journal_.postings_added) {
-    kb_->fills_index_.Remove(FillsIndex::KeyRole(key),
-                             FillsIndex::KeyFiller(key), host);
+  for (const Journal::Posting& p : journal_.postings_added) {
+    kb_->fills_index_.Remove(p.role, p.filler, p.host);
   }
   ++kb_->stats_.rejected_updates;
   journal_ = Journal{};
@@ -104,10 +100,8 @@ Status Propagator::MergeInto(IndId ind, const NormalForm& nf) {
   if (!unchanged) {
     st.derived = merged;
     Enqueue(ind);
-    // Whoever references this individual may now recognize more.
-    if (const std::set<IndId>* refs = kb_->referenced_by_.Find(ind)) {
-      for (IndId host : *refs) Enqueue(host);
-    }
+    // Whoever holds this individual as a filler may now recognize more.
+    for (IndId host : kb_->fills_index_.Holders(ind)) Enqueue(host);
   }
   return Status::OK();
 }
@@ -139,15 +133,9 @@ Status Propagator::PropagateToFillers(IndId ind) {
   NormalFormPtr derived = kb_->StateRef(ind).derived;  // snapshot
   for (const auto& [role, rr] : derived->roles()) {
     for (IndId filler : rr.fillers) {
-      // The one place role edges enter the reverse-filler index and the
-      // filler-inverted postings, so both are complete for the same
-      // reason.
-      if (kb_->referenced_by_.Mutable(filler).insert(ind).second) {
-        journal_.refs_added.emplace_back(filler, ind);
-      }
-      if (kb_->fills_index_.Add(role, filler, ind, *kb_->vocab_)) {
-        journal_.postings_added.emplace_back(FillsIndex::Key(role, filler),
-                                             ind);
+      // The one place role edges enter the filler-inverted postings.
+      if (kb_->fills_index_.Add(role, filler, ind)) {
+        journal_.postings_added.push_back({role, filler, ind});
       }
       if (!rr.value_restriction || rr.value_restriction->IsThing()) {
         continue;
@@ -235,8 +223,7 @@ void Propagator::Realize(IndId ind) {
   stw.msc.clear();
   subs.ForEach([&](size_t i) {
     const NodeId node = static_cast<NodeId>(i);
-    if (!already.Test(node) &&
-        kb_->instances_.Mutable(node).insert(ind).second) {
+    if (!already.Test(node) && kb_->instances_.MutableValue(node).Set(ind)) {
       journal_.instance_inserts.emplace_back(node, ind);
     }
     stw.subsumer_nodes.insert(stw.subsumer_nodes.end(), node);

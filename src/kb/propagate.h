@@ -59,18 +59,21 @@ class Propagator {
     std::map<IndId, IndividualState> undo;
     /// (node, ind) pairs actually inserted into the instance index.
     std::vector<std::pair<NodeId, IndId>> instance_inserts;
-    /// (filler, host) pairs actually inserted into the reverse index.
-    std::vector<std::pair<IndId, IndId>> refs_added;
-    /// (posting key, host) pairs actually inserted into the fills index
-    /// (the key packs role and filler; see FillsIndex::Key).
-    std::vector<std::pair<uint64_t, IndId>> postings_added;
+    /// Postings actually inserted into the fills index.
+    struct Posting {
+      RoleId role;
+      IndId filler;
+      IndId host;
+    };
+    std::vector<Posting> postings_added;
   };
 
   /// Marks an individual dirty for the next wavefront.
   void Enqueue(IndId ind);
 
   /// Merges extra knowledge into an individual's derived state;
-  /// enqueues it (and its referencers) if anything changed.
+  /// enqueues it (and every individual holding it as a filler) if
+  /// anything changed.
   Status MergeInto(IndId ind, const NormalForm& nf);
 
   /// Journals (first touch) and returns a writable state record.

@@ -142,7 +142,7 @@ Result<ProgramStats> ReplayProgramWithStats(const std::string& path) {
     report.phases.push_back(std::move(phase));
   }
 
-  // --- publish: fork the loaded base copy-on-write as epoch 1.
+  // --- publish: copy the loaded base copy-on-write as epoch 1.
   KbEngine engine(KbEngine::Options{.num_threads = 1});
   {
     PhaseStats phase;
@@ -150,7 +150,7 @@ Result<ProgramStats> ReplayProgramWithStats(const std::string& path) {
     phase.ops = 1;
     CounterDeltaScope window;
     const uint64_t start = MonotonicNanos();
-    engine.ResetFrom(db.kb());
+    engine.PublishFrom(db.kb());
     phase.wall_nanos = MonotonicNanos() - start;
     phase.counters = window.Deltas();
     report.phases.push_back(std::move(phase));

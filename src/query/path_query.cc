@@ -228,18 +228,17 @@ class PathEvaluator {
       return Status::OK();
     }
     if (ob) {
-      // Reverse step via the referencer index.
+      // Reverse step: the (role, object) posting holds exactly the
+      // subjects whose derived state fills the role with the object.
       size_t var = atom.subject.var();
-      IndId object = Value(atom.object);
-      const auto referencers = kb_.Referencers(object);
-      for (IndId subject : referencers) {
-        if (kb_.state(subject).derived->role(atom.role).fillers.count(
-                object) == 0) {
-          continue;
+      const std::set<IndId>* subjects =
+          kb_.fills_index().Postings(atom.role, Value(atom.object));
+      if (subjects != nullptr) {
+        for (IndId subject : *subjects) {
+          ++bindings_explored_;
+          binding_[var] = subject;
+          CLASSIC_RETURN_NOT_OK(Search());
         }
-        ++bindings_explored_;
-        binding_[var] = subject;
-        CLASSIC_RETURN_NOT_OK(Search());
       }
       binding_[var] = kNoId;
       return Status::OK();

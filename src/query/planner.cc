@@ -55,16 +55,33 @@ double TestCostFactor() {
 /// One complete candidate source: a set that provably contains every
 /// answer the residual test could accept.
 struct Source {
-  enum class Kind { kTaxonomy, kFills, kHostRange, kEnum };
+  enum class Kind { kTaxonomy, kFills, kHostValue, kEnum };
   Kind kind;
   size_t size = 0;
-  /// The set itself; nullptr means provably empty (no posting list ever
-  /// existed for the pair — the query can only be answered by subsumed
-  /// concepts' extensions).
+  /// The set itself: a node's extension (kTaxonomy), or a posting or
+  /// enumeration set. A null `members` means provably empty (no posting
+  /// list ever existed for the pair — the query can only be answered by
+  /// subsumed concepts' extensions).
+  const DynamicBitset* extension = nullptr;
   const std::set<IndId>* members = nullptr;
   NodeId node = 0;       // kTaxonomy
-  RoleId role = 0;       // kFills / kHostRange
-  IndId filler = kNoId;  // kFills / kHostRange
+  RoleId role = 0;       // kFills / kHostValue
+  IndId filler = kNoId;  // kFills / kHostValue
+
+  bool Contains(IndId i) const {
+    if (extension != nullptr) return extension->Test(i);
+    return members != nullptr && members->count(i) > 0;
+  }
+
+  /// Calls fn(member) in ascending order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    if (extension != nullptr) {
+      extension->ForEach([&fn](size_t i) { fn(static_cast<IndId>(i)); });
+    } else if (members != nullptr) {
+      for (IndId i : *members) fn(i);
+    }
+  }
 };
 
 /// Ceiling of TestCostFactor(): a filter can never save more than
@@ -99,7 +116,7 @@ Prepared Prepare(const KnowledgeBase& kb, const NormalForm& nf) {
   if (p.cls.equivalent) return p;
 
   for (NodeId child : p.cls.children) {
-    p.child_est += kb.Instances(child).size();
+    p.child_est += kb.Instances(child).Count();
   }
 
   const Mode m = mode();
@@ -107,8 +124,8 @@ Prepared Prepare(const KnowledgeBase& kb, const NormalForm& nf) {
     Source s;
     s.kind = Source::Kind::kTaxonomy;
     s.node = parent;
-    s.members = &kb.Instances(parent);
-    s.size = s.members->size();
+    s.extension = &kb.Instances(parent);
+    s.size = s.extension->Count();
     p.sources.push_back(s);
   }
   const size_t num_taxonomy = p.sources.size();
@@ -117,7 +134,7 @@ Prepared Prepare(const KnowledgeBase& kb, const NormalForm& nf) {
       for (IndId filler : rr.fillers) {
         Source s;
         s.kind = kb.vocab().individual(filler).kind == IndKind::kHost
-                     ? Source::Kind::kHostRange
+                     ? Source::Kind::kHostValue
                      : Source::Kind::kFills;
         s.role = role;
         s.filler = filler;
@@ -207,7 +224,8 @@ PlanNode SourceNode(const KnowledgeBase& kb, const Source& s) {
       return Node("fills-postings",
                   {RoleName(kb, s.role), kb.vocab().IndividualName(s.filler)},
                   s.size);
-    case Source::Kind::kHostRange: {
+    case Source::Kind::kHostValue: {
+      // A host value's posting: a point lookup, shown as [v..v].
       const std::string v = kb.vocab().IndividualName(s.filler);
       return Node("host-range", {RoleName(kb, s.role), StrCat("[", v, "..", v, "]")},
                   s.size);
@@ -326,7 +344,7 @@ std::string RenderPlan(const char* kind_name, const PlanNode& root) {
 PlanNode PlanConcept(const KnowledgeBase& kb, const NormalForm& nf) {
   Prepared p = Prepare(kb, nf);
   if (p.cls.equivalent) {
-    const size_t n = kb.Instances(*p.cls.equivalent).size();
+    const size_t n = kb.Instances(*p.cls.equivalent).Count();
     return Node("equivalent-instances", {NodeName(kb, *p.cls.equivalent)}, n);
   }
   return BuildTree(kb, nf, p, nullptr);
@@ -342,15 +360,14 @@ Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
   if (p.cls.equivalent) {
     // The query names (an equivalent of) a schema concept: its extension
     // is maintained incrementally; no tests at all.
-    const auto& inst = kb.Instances(*p.cls.equivalent);
-    answers.insert(inst.begin(), inst.end());
-    out.stats.answers_from_index += inst.size();
-    out.answers.assign(answers.begin(), answers.end());
+    const DynamicBitset& inst = kb.Instances(*p.cls.equivalent);
+    out.answers = inst.ToVector();
+    out.stats.answers_from_index += inst.Count();
     CLASSIC_OBS_COUNT(kPlannerIndexPath);
     if (plan != nullptr) {
       *plan = Node("equivalent-instances", {NodeName(kb, *p.cls.equivalent)},
-                   inst.size());
-      plan->act = inst.size();
+                   inst.Count());
+      plan->act = inst.Count();
     }
     return out;
   }
@@ -358,60 +375,59 @@ Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
   // Instances of subsumed named concepts satisfy the query by definition.
   Acts acts;
   for (NodeId child : p.cls.children) {
-    for (IndId i : kb.Instances(child)) {
-      if (answers.insert(i).second) {
+    kb.Instances(child).ForEach([&](size_t i) {
+      if (answers.insert(static_cast<IndId>(i)).second) {
         ++out.stats.answers_from_index;
         ++acts.from_children;
       }
-    }
+    });
   }
 
   if (p.use_index) {
-    // Index path: materialize every non-base source as a bitset over the
-    // frozen visible bound, stream the (smallest) base through the
-    // filters, residual-test the survivors. Candidates beyond the
-    // visible bound are skipped — the scan path never enumerates them,
-    // and answers must not depend on the access path.
+    // Index path: every non-base source becomes a bitset filter (an
+    // extension already is one; postings and enumerations are
+    // materialized over the frozen visible bound), the (smallest) base
+    // streams through the filters, and the survivors are residual-tested.
+    // Candidates beyond the visible bound are skipped — the scan path
+    // never enumerates them, and answers must not depend on the access
+    // path.
     size_t postings_scanned = 0;
-    std::vector<DynamicBitset> filters;
-    filters.reserve(p.sources.size());
+    std::vector<DynamicBitset> materialized;
+    materialized.reserve(p.sources.size());
+    std::vector<const DynamicBitset*> filters;
     for (size_t i = 0; i < p.sources.size(); ++i) {
       const Source& s = p.sources[i];
       if (i != p.base && !p.filter[i]) continue;
       if (s.kind != Source::Kind::kTaxonomy) postings_scanned += s.size;
       if (i == p.base) continue;
-      DynamicBitset bits(p.visible);
-      if (s.members != nullptr) {
-        for (IndId m : *s.members) {
-          if (m < p.visible) bits.Set(m);
-        }
+      if (s.extension != nullptr) {
+        filters.push_back(s.extension);
+        continue;
       }
-      filters.push_back(std::move(bits));
+      DynamicBitset bits(p.visible);
+      s.ForEach([&](IndId m) {
+        if (m < p.visible) bits.Set(m);
+      });
+      materialized.push_back(std::move(bits));
+      filters.push_back(&materialized.back());
     }
     size_t pruned = 0;
-    if (p.sources[p.base].members != nullptr) {
-      for (IndId i : *p.sources[p.base].members) {
-        if (i >= p.visible) continue;
-        if (answers.count(i) > 0) continue;
-        bool pass = true;
-        for (const DynamicBitset& f : filters) {
-          if (!f.Test(i)) {
-            pass = false;
-            break;
-          }
-        }
-        if (!pass) {
+    p.sources[p.base].ForEach([&](IndId i) {
+      if (i >= p.visible) return;
+      if (answers.count(i) > 0) return;
+      for (const DynamicBitset* f : filters) {
+        if (!f->Test(i)) {
           ++pruned;
-          continue;
-        }
-        ++acts.candidates;
-        ++out.stats.candidates_tested;
-        if (kb.Satisfies(i, nf)) {
-          answers.insert(i);
-          ++acts.accepted;
+          return;
         }
       }
-    }
+      ++acts.candidates;
+      ++out.stats.candidates_tested;
+      if (kb.Satisfies(i, nf)) {
+        answers.insert(i);
+        ++acts.accepted;
+      }
+    });
     CLASSIC_OBS_COUNT(kPlannerIndexPath);
     CLASSIC_OBS_COUNT_N(kPlannerPostingsScanned, postings_scanned);
     CLASSIC_OBS_COUNT_N(kPlannerCandidatesPruned, pruned);
@@ -426,18 +442,14 @@ Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
       }
     } else {
       const Source& base = p.sources[p.base];
-      for (IndId i : *base.members) {
-        if (answers.count(i) > 0) continue;
-        bool in_all = true;
+      base.ForEach([&](IndId i) {
+        if (answers.count(i) > 0) return;
         for (const Source& s : p.sources) {
           if (&s == &base || s.kind != Source::Kind::kTaxonomy) continue;
-          if (s.members->count(i) == 0) {
-            in_all = false;
-            break;
-          }
+          if (!s.Contains(i)) return;
         }
-        if (in_all) candidates.push_back(i);
-      }
+        candidates.push_back(i);
+      });
     }
     acts.candidates = candidates.size();
     for (IndId i : candidates) {

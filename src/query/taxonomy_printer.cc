@@ -23,7 +23,7 @@ void RenderSubtree(const KnowledgeBase& kb, NodeId node, int depth,
   out->append(static_cast<size_t>(depth) * 2, ' ');
   *out += NodeLabel(kb, node);
   if (with_counts) {
-    size_t n = kb.Instances(node).size();
+    size_t n = kb.Instances(node).Count();
     if (n > 0) *out += StrCat("  [", n, "]");
   }
   if (!printed->insert(node).second) {

@@ -42,9 +42,9 @@ RelationalView BuildRelationalView(const KnowledgeBase& kb) {
     rel.concept_name = vocab.symbols().Name(vocab.concept_info(c).name);
     auto node = kb.taxonomy().NodeOf(c);
     if (node.ok()) {
-      for (IndId i : kb.Instances(*node)) {
-        rel.members.push_back(vocab.IndividualName(i));
-      }
+      kb.Instances(*node).ForEach([&](size_t i) {
+        rel.members.push_back(vocab.IndividualName(static_cast<IndId>(i)));
+      });
       std::sort(rel.members.begin(), rel.members.end());
     }
     view.concepts.push_back(std::move(rel));

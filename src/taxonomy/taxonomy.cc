@@ -11,19 +11,24 @@ namespace classic {
 
 namespace {
 
+/// The node concept `cid` lives on, or kNoNode.
+NodeId NodeIn(const CowVector<NodeId>& node_of_concept, ConceptId cid) {
+  return cid < node_of_concept.size() ? node_of_concept[cid] : kNoNode;
+}
+
 /// Named concepts conjoined at the top level of a definition subsume the
 /// definition by construction (the normal form is their meet, further
 /// tightened) — they are "told" subsumers and need no structural test.
 /// PRIMITIVE/DISJOINT-PRIMITIVE wrap a base description the same way.
 void CollectToldSubsumers(const Description& d, const Vocabulary& vocab,
-                          const CowMap<ConceptId, NodeId>& node_of_concept,
+                          const CowVector<NodeId>& node_of_concept,
                           std::vector<NodeId>* out) {
   switch (d.kind()) {
     case DescKind::kConceptName: {
       Result<ConceptId> cid = vocab.FindConcept(d.name());
       if (!cid.ok()) return;
-      const NodeId* node = node_of_concept.Find(*cid);
-      if (node != nullptr) out->push_back(*node);
+      const NodeId node = NodeIn(node_of_concept, *cid);
+      if (node != kNoNode) out->push_back(node);
       return;
     }
     case DescKind::kAnd:
@@ -156,7 +161,7 @@ Result<NodeId> Taxonomy::Insert(ConceptId cid) {
   if (info.normal_form == nullptr) {
     return Status::Internal("concept registered without a normal form");
   }
-  if (node_of_concept_.Find(cid) != nullptr) {
+  if (NodeIn(node_of_concept_, cid) != kNoNode) {
     return Status::AlreadyExists(
         StrCat("concept already classified: ",
                vocab_->symbols().Name(info.name)));
@@ -172,12 +177,14 @@ Result<NodeId> Taxonomy::Insert(ConceptId cid) {
   if (cls.equivalent) {
     NodeId node = *cls.equivalent;
     nodes_.Mutable(node).synonyms.push_back(cid);
+    node_of_concept_.GrowTo(cid, kNoNode);
     node_of_concept_.Mutable(cid) = node;
     return node;
   }
 
   NodeId node = static_cast<NodeId>(nodes_.size());
   nodes_.push_back({{cid}, info.normal_form, {}, {}});
+  node_of_concept_.GrowTo(cid, kNoNode);
   node_of_concept_.Mutable(cid) = node;
 
   // Ancestor index: the new node's ancestors are its parents plus theirs
@@ -220,13 +227,13 @@ Result<NodeId> Taxonomy::Insert(ConceptId cid) {
 }
 
 Result<NodeId> Taxonomy::NodeOf(ConceptId cid) const {
-  const NodeId* node = node_of_concept_.Find(cid);
-  if (node == nullptr) {
+  const NodeId node = NodeIn(node_of_concept_, cid);
+  if (node == kNoNode) {
     return Status::NotFound(
         StrCat("concept not in taxonomy: ",
                vocab_->symbols().Name(vocab_->concept_info(cid).name)));
   }
-  return *node;
+  return node;
 }
 
 std::vector<NodeId> Taxonomy::Ancestors(NodeId node) const {

@@ -52,6 +52,9 @@ namespace classic {
 /// Identifier of a taxonomy node (an equivalence class of named concepts).
 using NodeId = uint32_t;
 
+/// No node: a concept the taxonomy has not classified.
+inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
+
 /// \brief Result of classifying a normal form against the taxonomy.
 struct Classification {
   /// Most specific named subsumers ("immediate parents").
@@ -73,17 +76,17 @@ class Taxonomy {
         subsume_index_(std::make_shared<SubsumptionIndex>()) {}
 
   /// \brief Copy-on-write copy bound to `vocab` — the epoch publish path.
-  /// The node/edge arrays and the ancestor index share chunk storage with
-  /// the source (the writer path-copies touched chunks on its next
-  /// insert); the concept directory shares frozen layers; the subsumption
-  /// memo is the SAME lock-free index (interned NfIds live in the shared
+  /// The node/edge arrays, the ancestor index and the concept directory
+  /// share chunk storage with the source (the writer path-copies touched
+  /// chunks on its next insert); the subsumption memo is the SAME
+  /// lock-free index (interned NfIds live in the shared
   /// normal-form store, so verdicts are valid on every copy and all
   /// epochs warm one table). O(delta), not O(schema).
   Taxonomy(const Taxonomy& other, const Vocabulary* vocab)
       : vocab_(vocab),
         nodes_(other.nodes_),
         ancestor_sets_(other.ancestor_sets_),
-        node_of_concept_(other.node_of_concept_.Fork()),
+        node_of_concept_(other.node_of_concept_),
         roots_(other.roots_),
         subsume_index_(other.subsume_index_),
         total_insert_tests_(other.total_insert_tests_) {}
@@ -179,16 +182,17 @@ class Taxonomy {
   /// Total subsumption tests computed by all Insert calls (bench E2).
   size_t total_insert_tests() const { return total_insert_tests_; }
 
-  /// \brief Drains the COW copy counters (chunks path-copied + concept
-  /// directory values copied down) accumulated since the last call.
+  /// \brief Drains the COW copy counters (chunks path-copied) accumulated
+  /// since the last call.
   size_t TakeCowCopies() {
-    return nodes_.TakeChunkCopies() + ancestor_sets_.TakeChunkCopies() +
-           node_of_concept_.TakeValueCopies();
+    return nodes_.TakeCopies() + ancestor_sets_.TakeCopies() +
+           node_of_concept_.TakeCopies();
   }
 
   /// \brief Approximate bytes of chunk storage shareable with copies.
   size_t ApproxSharedBytes() const {
-    return nodes_.ApproxChunkBytes() + ancestor_sets_.ApproxChunkBytes();
+    return nodes_.ApproxChunkBytes() + ancestor_sets_.ApproxChunkBytes() +
+           node_of_concept_.ApproxChunkBytes();
   }
 
  private:
@@ -207,7 +211,9 @@ class Taxonomy {
   CowVector<Node> nodes_;
   /// ancestor_sets_[n] = every strict ancestor of n; maintained on insert.
   CowVector<DynamicBitset> ancestor_sets_;
-  CowMap<ConceptId, NodeId> node_of_concept_;
+  /// node_of_concept_[c] = the node concept c lives on (kNoNode when c
+  /// is not classified).
+  CowVector<NodeId> node_of_concept_;
   std::set<NodeId> roots_;
   /// Persistent (NfId, NfId) -> verdict memo; interned forms are
   /// immutable, so entries never go stale, and the index is internally

@@ -10,6 +10,7 @@ std::vector<uint32_t> DynamicBitset::ToVector() const {
 }
 
 bool DynamicBitset::operator==(const DynamicBitset& other) const {
+  if (count_ != other.count_) return false;
   size_t n = words_.size() > other.words_.size() ? words_.size()
                                                  : other.words_.size();
   for (size_t i = 0; i < n; ++i) {

@@ -9,7 +9,10 @@
 //
 // Bits auto-grow on Set(): the vector extends to cover the highest bit
 // ever set, and all operations treat missing words as zero, so two bitsets
-// of different lengths compare/combine correctly.
+// of different lengths compare/combine correctly. The member count is
+// kept alongside the words, so Count() is O(1) — the KB's concept
+// extensions are bitsets, and the query planner reads their sizes on
+// every query.
 
 #pragma once
 
@@ -25,17 +28,26 @@ class DynamicBitset {
   /// \brief Constructs with capacity for `nbits` bits, all clear.
   explicit DynamicBitset(size_t nbits) : words_((nbits + 63) / 64, 0) {}
 
-  /// \brief Sets bit `i`, growing the word vector if needed.
-  void Set(size_t i) {
+  /// \brief Sets bit `i`, growing the word vector if needed. Returns
+  /// true iff the bit was clear before.
+  bool Set(size_t i) {
     size_t w = i >> 6;
     if (w >= words_.size()) words_.resize(w + 1, 0);
-    words_[w] |= kOne << (i & 63);
+    const uint64_t bit = kOne << (i & 63);
+    if ((words_[w] & bit) != 0) return false;
+    words_[w] |= bit;
+    ++count_;
+    return true;
   }
 
   /// \brief Clears bit `i` (no-op if beyond the current capacity).
   void Reset(size_t i) {
     size_t w = i >> 6;
-    if (w < words_.size()) words_[w] &= ~(kOne << (i & 63));
+    if (w >= words_.size()) return;
+    const uint64_t bit = kOne << (i & 63);
+    if ((words_[w] & bit) == 0) return;
+    words_[w] &= ~bit;
+    --count_;
   }
 
   /// \brief True iff bit `i` is set. Bits beyond capacity read as 0.
@@ -45,27 +57,20 @@ class DynamicBitset {
   }
 
   /// \brief True iff no bit is set.
-  bool Empty() const {
-    for (uint64_t w : words_) {
-      if (w != 0) return false;
-    }
-    return true;
-  }
+  bool Empty() const { return count_ == 0; }
 
-  /// \brief Number of set bits.
-  size_t Count() const {
-    size_t n = 0;
-    for (uint64_t w : words_) n += static_cast<size_t>(__builtin_popcountll(w));
-    return n;
-  }
+  /// \brief Number of set bits. O(1).
+  size_t Count() const { return count_; }
 
   /// \brief this |= other.
   void OrWith(const DynamicBitset& other) {
     if (other.words_.size() > words_.size()) {
       words_.resize(other.words_.size(), 0);
     }
-    for (size_t i = 0; i < other.words_.size(); ++i) {
-      words_[i] |= other.words_[i];
+    count_ = 0;
+    for (size_t i = 0; i < words_.size(); ++i) {
+      if (i < other.words_.size()) words_[i] |= other.words_[i];
+      count_ += static_cast<size_t>(__builtin_popcountll(words_[i]));
     }
   }
 
@@ -109,6 +114,7 @@ class DynamicBitset {
  private:
   static constexpr uint64_t kOne = 1;
   std::vector<uint64_t> words_;
+  size_t count_ = 0;
 };
 
 }  // namespace classic

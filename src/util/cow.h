@@ -1,38 +1,37 @@
-// Copy-on-write persistent containers for O(delta) epoch publication.
+// The copy-on-write container behind O(delta) epoch publication.
 //
-// StableVector (util/stable_vector.h) solves concurrent *growth*; these
-// containers solve cheap *copying*. Publishing an epoch used to deep-copy
-// the whole KnowledgeBase (BM_Publish ~3 ms at 1k individuals); with the
-// stores below, a publish shares structure with the previous epoch and
-// copies only bookkeeping proportional to the mutation set.
+// StableVector (util/stable_vector.h) solves concurrent *growth*; this
+// container solves cheap *copying*. Publishing an epoch used to deep-copy
+// the whole KnowledgeBase (BM_Publish ~3 ms at 1k individuals); with
+// every store on a CowVector, a publish shares structure with the
+// previous epoch and copies only what the writer touched since.
 //
-//  - CowVector<T>: a chunked vector (64-element chunks behind
-//    shared_ptr, the chunk directory itself behind a shared_ptr).
-//    Copying is two shared_ptr copies; the single writer path-copies a
-//    chunk (and, once per copy generation, the directory) the first time
-//    it mutates through shared structure. use_count() > 1 is the COW
-//    trigger: extra counts can only come from snapshot copies.
-//  - CowMap<K, V>: an LSM-ish layered map — a stack of immutable frozen
-//    layers plus one mutable overlay. Lookups probe overlay then layers
-//    newest-to-oldest; Mutable() copies the value down into the overlay
-//    (value-level copy-on-write). Fork() freezes the overlay into a new
-//    shared layer, compacts the tail when the stack grows past a bound,
-//    and returns a copy sharing every layer. Fork cost is O(overlay)
-//    moved + amortized compaction, independent of total map size.
+// CowVector<T> is a chunked vector: 64-element chunks behind shared_ptr,
+// the chunk directory itself behind a shared_ptr. Copying is two
+// shared_ptr copies; the single writer path-copies a chunk (and, once
+// per copy generation, the directory) the first time it mutates through
+// shared structure. use_count() > 1 is the copy-on-write trigger: extra
+// counts can only come from snapshot copies.
 //
-// Thread-safety contract (mirrors the KB's single-writer discipline):
-// a forked copy that is never mutated (a published snapshot) may be read
-// from any number of threads; all mutating calls — and Fork() itself —
-// must come from the one writer thread. Readers of old copies are never
-// affected by writer mutation: the writer replaces shared chunks/layers,
-// it never writes through them.
+// Every index is keyed by a dense id (NodeId, IndId, ConceptId), so one
+// container serves them all. A set- or map-valued slot holds its value
+// behind a shared_ptr (T = std::shared_ptr<V>): a chunk copy then copies
+// 64 pointers, not 64 sets, and MutableValue copies the one value it
+// writes — on the same use_count() > 1 trigger, so at most once per copy
+// generation.
+//
+// Thread-safety contract (mirrors the KB's single-writer discipline): a
+// copy that is never mutated (a published snapshot) may be read from any
+// number of threads; every mutating call must come from the one writer
+// thread. Readers of old copies are never affected by writer mutation:
+// the writer replaces shared chunks and values, it never writes through
+// them.
 
 #pragma once
 
 #include <array>
 #include <cassert>
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -85,6 +84,12 @@ class CowVector {
     ++size_;
   }
 
+  /// Writer-only: appends copies of `fill` until the vector covers index
+  /// i (a dense-id store gains a slot when its id first appears).
+  void GrowTo(size_t i, const T& fill = T{}) {
+    while (size_ <= i) push_back(fill);
+  }
+
   /// Writer-only ordered erase (shift-down). O(n - i) element copies —
   /// used by the retraction path, which re-derives the database anyway.
   void EraseAt(size_t i) {
@@ -94,11 +99,46 @@ class CowVector {
     --size_;
   }
 
+  /// Writer-only: empties this copy (other copies keep their chunks).
+  void Clear() {
+    dir_.reset();
+    size_ = 0;
+  }
+
+  // --- Boxed values (T = std::shared_ptr<V>) -------------------------------
+
+  /// Slot i's value, or nullptr when i is past the end or the slot is
+  /// empty.
+  template <typename Box = T>
+  const typename Box::element_type* Find(size_t i) const {
+    return i < size_ ? (*this)[i].get() : nullptr;
+  }
+
+  /// Writer-only: mutable access to slot i's value, growing the vector to
+  /// cover i and creating an empty value in an empty slot. A value still
+  /// shared with a copy is copied first (use_count() > 1, the chunk
+  /// trigger: a chunk copy shares every value it holds), so the writer
+  /// copies each value at most once per copy generation and mutates it
+  /// in place after that.
+  template <typename Box = T>
+  typename Box::element_type& MutableValue(size_t i) {
+    using V = typename Box::element_type;
+    GrowTo(i);
+    Box& box = Mutable(i);
+    if (!box) {
+      box = std::make_shared<V>();
+    } else if (box.use_count() > 1) {
+      box = std::make_shared<V>(*box);
+      ++copies_;
+    }
+    return *box;
+  }
+
   // --- Publish instrumentation --------------------------------------------
 
-  /// Chunk copies performed by Mutable/push_back since the last call
-  /// (the physical size of the write delta, in chunks).
-  size_t TakeChunkCopies() { return std::exchange(chunk_copies_, 0); }
+  /// Chunk and value copies performed by the writer since the last call
+  /// (the physical size of the write delta).
+  size_t TakeCopies() { return std::exchange(copies_, 0); }
 
   /// Bytes of chunk storage this copy shares with its siblings (all of
   /// it, right after a copy): the publish "bytes not copied" figure.
@@ -127,120 +167,14 @@ class CowVector {
       p = std::make_shared<Chunk>();
     } else if (p.use_count() > 1) {
       p = std::make_shared<Chunk>(*p);
-      ++chunk_copies_;
+      ++copies_;
     }
     return *p;
   }
 
   std::shared_ptr<Dir> dir_;
   size_t size_ = 0;
-  size_t chunk_copies_ = 0;
-};
-
-template <typename K, typename V>
-class CowMap {
- public:
-  using Layer = std::map<K, V>;
-  using LayerPtr = std::shared_ptr<const Layer>;
-
-  CowMap() = default;
-
-  /// Plain copies share frozen layers and deep-copy the (normally tiny)
-  /// overlay; prefer Fork() on the publish path, which freezes first.
-  CowMap(const CowMap&) = default;
-  CowMap& operator=(const CowMap&) = default;
-
-  /// Newest-wins point lookup across overlay + frozen layers.
-  const V* Find(const K& key) const {
-    auto it = overlay_.find(key);
-    if (it != overlay_.end()) return &it->second;
-    for (auto l = layers_.rbegin(); l != layers_.rend(); ++l) {
-      auto lit = (*l)->find(key);
-      if (lit != (*l)->end()) return &lit->second;
-    }
-    return nullptr;
-  }
-
-  /// Writer-only: mutable access, copying the value down into the overlay
-  /// on first touch since the last Fork (value-level copy-on-write;
-  /// default-constructs absent keys).
-  V& Mutable(const K& key) {
-    auto it = overlay_.find(key);
-    if (it != overlay_.end()) return it->second;
-    for (auto l = layers_.rbegin(); l != layers_.rend(); ++l) {
-      auto lit = (*l)->find(key);
-      if (lit != (*l)->end()) {
-        ++value_copies_;
-        return overlay_.emplace(key, lit->second).first->second;
-      }
-    }
-    return overlay_[key];
-  }
-
-  /// Writer-only: drops every entry (frozen layers are only unshared, so
-  /// snapshot readers are unaffected).
-  void Clear() {
-    layers_.clear();
-    overlay_.clear();
-  }
-
-  /// Freezes the overlay into a new immutable layer on this map, compacts
-  /// the layer stack if it grew past the bound, and returns a copy sharing
-  /// all layers. O(overlay size) plus amortized compaction. Const so the
-  /// publish path can fork through const accessors: freezing does not
-  /// change the mapping, only its physical layout (hence the mutable
-  /// members below).
-  CowMap Fork() const {
-    if (!overlay_.empty()) {
-      layers_.push_back(std::make_shared<const Layer>(std::move(overlay_)));
-      overlay_.clear();
-      Compact();
-    }
-    CowMap out;
-    out.layers_ = layers_;
-    return out;
-  }
-
-  size_t num_layers() const { return layers_.size() + (overlay_.empty() ? 0 : 1); }
-  size_t TakeValueCopies() { return std::exchange(value_copies_, 0); }
-
-  /// Approximate shared entry count (for the publish bytes-shared figure).
-  size_t ApproxFrozenEntries() const {
-    size_t n = 0;
-    for (const LayerPtr& l : layers_) n += l->size();
-    return n;
-  }
-
- private:
-  /// Tiered compaction, writer-side: keep the probe depth bounded by
-  /// merging the delta tail (newest-wins) when it outgrows kMaxLayers;
-  /// fold into the base layer only when the merged tail rivals it, so the
-  /// per-publish cost stays proportional to recent deltas, amortized.
-  void Compact() const {
-    if (layers_.size() <= kMaxLayers) return;
-    Layer merged;
-    size_t tail_entries = 0;
-    for (size_t i = 1; i < layers_.size(); ++i) {
-      tail_entries += layers_[i]->size();
-      for (const auto& [k, v] : *layers_[i]) merged.insert_or_assign(k, v);
-    }
-    if (!layers_.empty() && tail_entries >= layers_[0]->size()) {
-      Layer full = *layers_[0];
-      for (auto& [k, v] : merged) full.insert_or_assign(k, std::move(v));
-      layers_.assign(1, std::make_shared<const Layer>(std::move(full)));
-    } else {
-      LayerPtr base = layers_.empty() ? nullptr : layers_[0];
-      layers_.clear();
-      if (base) layers_.push_back(std::move(base));
-      layers_.push_back(std::make_shared<const Layer>(std::move(merged)));
-    }
-  }
-
-  static constexpr size_t kMaxLayers = 8;
-
-  mutable std::vector<LayerPtr> layers_;  // oldest -> newest
-  mutable Layer overlay_;
-  size_t value_copies_ = 0;
+  size_t copies_ = 0;
 };
 
 }  // namespace classic

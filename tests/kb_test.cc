@@ -288,7 +288,7 @@ TEST_F(KbTest, PropagatedInconsistencyRollsBackEverything) {
   EXPECT_EQ(Must(db_.DescribeIndividual("B")), b_before);
 }
 
-TEST_F(KbTest, CascadeReclassificationThroughReferencers) {
+TEST_F(KbTest, CascadeReclassificationThroughFillerHolders) {
   // j's membership depends on its filler i's type; when i is upgraded,
   // j must be reclassified.
   Must(db_.DefineRole("part"));
@@ -305,7 +305,7 @@ TEST_F(KbTest, CascadeReclassificationThroughReferencers) {
   EXPECT_EQ(Must(db_.Ask("WIDGET-BOX")).size(), 1u);
 }
 
-TEST_F(KbTest, HostFillersAndTypeChecks) {
+TEST_F(KbTest, HostValuedFillersAndTypeChecks) {
   Must(db_.DefineRole("age"));
   Must(db_.CreateIndividual("Rocky"));
   Must(db_.AssertInd("Rocky", "(FILLS age 17)"));

@@ -261,7 +261,7 @@ TEST(LintKbTest, AnalyzeKbAndSnapshotAgree) {
   EXPECT_EQ(ids.count("C004"), 1u) << RenderText(direct);  // rule never fires
 
   KbEngine engine;
-  engine.Reset(db.kb().Clone());
+  engine.PublishFrom(db.kb());
   SnapshotPtr snap = engine.Publish();
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(RenderText(AnalyzeSnapshot(*snap)), RenderText(direct));

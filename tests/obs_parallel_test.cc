@@ -71,7 +71,7 @@ TEST(ObsParallelTest, BatchCounterTotalsMatchSerialOnWarmSnapshot) {
       bench::BuildStandardWorkload(&db, /*num_concepts=*/60,
                                    /*num_individuals=*/120, /*seed=*/42);
   KbEngine engine;
-  engine.Reset(db.kb().Clone());
+  engine.PublishFrom(db.kb());
   const std::vector<QueryRequest> requests = MakeRequests(w, 96, 0xC0FFEE);
 
   // Priming pass: populate the snapshot's logically-const caches (query
@@ -103,7 +103,7 @@ TEST(ObsParallelTest, TotalsAreMonotoneAcrossConcurrentBatches) {
       bench::BuildStandardWorkload(&db, /*num_concepts=*/40,
                                    /*num_individuals=*/80, /*seed=*/7);
   KbEngine engine;
-  engine.Reset(db.kb().Clone());
+  engine.PublishFrom(db.kb());
   const std::vector<QueryRequest> requests = MakeRequests(w, 64, 0xBEEF);
 
   obs::CounterArray prev = obs::ReadCounters();

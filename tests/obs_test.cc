@@ -131,7 +131,7 @@ TEST_F(ObsTest, ServeQueryStatsAreExactAndMemoized) {
   ASSERT_TRUE(db.AssertInd("Rocky", "(FILLS enrolled-at U)").ok());
 
   KbEngine engine(KbEngine::Options{.num_threads = 1});
-  engine.Reset(db.kb().Clone());
+  engine.PublishFrom(db.kb());
   SnapshotPtr snap = engine.snapshot();
   ASSERT_NE(snap, nullptr);
 

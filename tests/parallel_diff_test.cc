@@ -87,7 +87,7 @@ class ParallelDiffTest : public ::testing::Test {
   void Build(size_t concepts, size_t individuals, uint64_t seed) {
     workload_ = bench::BuildStandardWorkload(&db_, concepts, individuals,
                                              seed);
-    snapshot_ = engine_.Reset(db_.kb().Clone());
+    snapshot_ = engine_.PublishFrom(db_.kb());
   }
 
   Database db_;
@@ -142,7 +142,7 @@ TEST_F(ParallelDiffTest, IndependentClonesAnswerIdentically) {
   // A second engine cloned from the same master must serve the same
   // bytes: epochs are value-faithful copies, ids and all.
   KbEngine other;
-  other.Reset(db_.kb().Clone());
+  other.PublishFrom(db_.kb());
   std::vector<QueryAnswer> a = engine_.QueryBatch(requests, 4);
   std::vector<QueryAnswer> b = other.QueryBatch(requests, 4);
   ASSERT_EQ(a.size(), b.size());

@@ -54,7 +54,7 @@ class ParallelStressTest : public ::testing::Test {
             .ok());
     ASSERT_TRUE(db_.CreateIndividual("Scratch").ok());
     ASSERT_TRUE(db_.CreateIndividual("ScratchFiller").ok());
-    engine_.Reset(db_.kb().Clone());
+    engine_.PublishFrom(db_.kb());
   }
 
   Status AssertByText(KnowledgeBase* kb, const std::string& ind_name,

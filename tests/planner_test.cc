@@ -2,13 +2,12 @@
 //
 // The index contract (kb/fills_index.h): postings track exactly the
 // *derived* filler relation across assertion, rollback and retraction,
-// and every published epoch sees an immutable fork. The planner contract
+// and every published epoch sees an immutable copy. The planner contract
 // (query/planner.h): answers are byte-identical under every access-path
 // mode; only the plan (and the work counters) may differ.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -103,28 +102,6 @@ TEST_F(PlannerTest, MultisetRetractionRebuildsIndex) {
   if (postings != nullptr) {
     EXPECT_EQ(postings->count(p4), 0u);
   }
-}
-
-TEST_F(PlannerTest, HostRangeScansValueInterval) {
-  Must(db_.AssertInd("P0", "(FILLS age 10)"));
-  Must(db_.AssertInd("P1", "(FILLS age 20)"));
-  Must(db_.AssertInd("P2", "(FILLS age 30)"));
-  Must(db_.AssertInd("P3", "(FILLS age 30)"));
-
-  const RoleId age = Role("age");
-  std::vector<IndId> in_range = db_.kb().fills_index().HostRange(
-      age, HostValue::Integer(15), HostValue::Integer(30));
-  std::vector<IndId> expected = {Must(db_.FindIndividual("P1")),
-                                 Must(db_.FindIndividual("P2")),
-                                 Must(db_.FindIndividual("P3"))};
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(in_range, expected);
-
-  EXPECT_TRUE(db_.kb()
-                  .fills_index()
-                  .HostRange(age, HostValue::Integer(31),
-                             HostValue::Integer(99))
-                  .empty());
 }
 
 TEST_F(PlannerTest, PublishedEpochsSeeImmutableIndex) {

@@ -96,7 +96,7 @@ TEST_F(RelationalTest, CsvExport) {
   std::remove((dir + "/concept_STUDENT.csv").c_str());
 }
 
-TEST_F(RelationalTest, HostFillersRenderAsValues) {
+TEST_F(RelationalTest, HostValuedFillersRenderAsValues) {
   Must(db_.DefineRole("age"));
   Must(db_.AssertInd("Rocky", "(FILLS age 17)"));
   auto view = relational::BuildRelationalView(db_.kb());
