@@ -193,6 +193,27 @@ void BM_QueryNonSelective(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryNonSelective)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// ask-possible on the non-selective query: its definite answers through
+// the planner, then one exclusion test per undecided individual on the
+// query's exclusion surface (here the record holders of the one role it
+// constrains).
+void BM_AskPossible(benchmark::State& state) {
+  PlannerFixture* fx = GetPlannerFixture(static_cast<size_t>(state.range(0)));
+  size_t possible = 0;
+  for (auto _ : state) {
+    auto r = planner::RetrievePossible(fx->db.kb(), fx->non_selective, nullptr);
+    if (!r.ok()) {
+      state.SkipWithError("ask-possible failed");
+      return;
+    }
+    possible = r->size();
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["individuals"] = static_cast<double>(state.range(0));
+  state.counters["possible"] = static_cast<double>(possible);
+}
+BENCHMARK(BM_AskPossible)->Arg(1000)->Arg(10000)->Arg(100000);
+
 }  // namespace
 }  // namespace classic::bench
 

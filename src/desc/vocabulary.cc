@@ -194,6 +194,9 @@ IndId Vocabulary::InternHostValue(const HostValue& v) const {
   auto it = host_ind_by_value_.find(v);
   if (it != host_ind_by_value_.end()) return it->second;
   IndId id = static_cast<IndId>(inds_.size());
+  // Listed before the id is published: any individual bound a reader
+  // observes then covers no host missing from the list.
+  host_ids_.push_back(id);
   inds_.push_back({IndKind::kHost, kNoSymbol, v});
   host_ind_by_value_.emplace(v, id);
   return id;

@@ -181,6 +181,17 @@ class Vocabulary {
   /// literal interns it without changing database meaning.
   IndId InternHostValue(const HostValue& v) const;
 
+  /// \brief Calls fn(id) for every interned host individual with id below
+  /// `limit` (a bound read from num_individuals()), ascending. Lock-free:
+  /// InternHostValue lists each id, in id order, before publishing it. A
+  /// host value a snapshot reader interns is listed here though
+  /// propagation never sees it.
+  template <typename Fn>
+  void ForEachHostIndividual(IndId limit, Fn&& fn) const {
+    const size_t n = host_ids_.size();
+    for (size_t k = 0; k < n && host_ids_[k] < limit; ++k) fn(host_ids_[k]);
+  }
+
   /// \brief Looks up a named individual.
   Result<IndId> FindIndividual(Symbol name) const;
 
@@ -241,6 +252,8 @@ class Vocabulary {
   mutable StableVector<IndInfo> inds_;
   std::map<Symbol, IndId> ind_by_name_;
   mutable std::map<HostValue, IndId> host_ind_by_value_;
+  /// The ids of host individuals, ascending (appended under ind_mutex_).
+  mutable StableVector<IndId> host_ids_;
   mutable std::mutex ind_mutex_;
 
   StableVector<ConceptInfo> concepts_;

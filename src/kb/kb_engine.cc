@@ -211,8 +211,46 @@ Result<QueryAnswer> QueryAnswer::FromSexpr(const sexpr::Value& v) {
 }
 
 Result<QueryAnswer> QueryAnswer::FromWire(const std::string& text) {
-  CLASSIC_ASSIGN_OR_RETURN(sexpr::Value v, sexpr::Parse(text));
-  return FromSexpr(v);
+  // FromSexpr(Parse(text)) without the Value tree: the reader's own
+  // lexer, walked through the one shape an answer has, with each value
+  // unescaped straight into `values`. Any other token sequence is one
+  // the tree reader rejects or FromSexpr refuses.
+  using Token = sexpr::Lexer::Token;
+  sexpr::Lexer lex(text);
+  // True if the next token is `want`; a parenthesis is also consumed.
+  auto expect = [&lex](Token want) {
+    if (lex.Peek() != want) return false;
+    if (want == Token::kOpen || want == Token::kClose) lex.ConsumeParen();
+    return true;
+  };
+  auto malformed = [&lex]() {
+    return Status::InvalidArgument(
+        StrCat("not an answer form", lex.Here()));
+  };
+  if (!expect(Token::kOpen) || !expect(Token::kAtom) ||
+      !lex.ReadAtom().IsSymbolNamed("answer") || !expect(Token::kAtom)) {
+    return malformed();
+  }
+  const sexpr::Value code = lex.ReadAtom();
+  std::string message;
+  if (!code.IsSymbol() || !expect(Token::kString)) return malformed();
+  CLASSIC_RETURN_NOT_OK(lex.ReadString(&message));
+  if (!expect(Token::kOpen)) return malformed();
+  QueryAnswer out;
+  // A value with its quotes and separator rarely takes under 8 bytes, so
+  // a large answer's list is allocated once.
+  out.values.reserve(text.size() / 8);
+  for (Token t = lex.Peek(); t != Token::kClose; t = lex.Peek()) {
+    if (t != Token::kString) return malformed();
+    CLASSIC_RETURN_NOT_OK(lex.ReadString(&out.values.emplace_back()));
+  }
+  lex.ConsumeParen();
+  if (!expect(Token::kClose) || !expect(Token::kEnd)) return malformed();
+  const StatusCode status_code = StatusCodeFromName(code.text());
+  if (status_code != StatusCode::kOk) {
+    out.status = Status(status_code, std::move(message));
+  }
+  return out;
 }
 
 obs::Op ToObsOp(QueryRequest::Kind kind) {

@@ -183,11 +183,16 @@ struct QueryAnswer {
   // measurement, not part of the answer value (Canonical() excludes it
   // for the same reason).
 
+  /// The Value tree of the wire form; with FromSexpr, the reference the
+  /// tests hold ToWire and FromWire to.
   sexpr::Value ToSexpr() const;
   /// ToSexpr() rendered to concrete syntax, written without building the
   /// Value tree (the server encodes every reply with it).
   std::string ToWire() const;
   static Result<QueryAnswer> FromSexpr(const sexpr::Value& v);
+  /// FromSexpr(sexpr::Parse(text)), decoded without building the Value
+  /// tree (the client decodes every reply with it): it accepts exactly
+  /// the texts that pair accepts, with the same status and values.
   static Result<QueryAnswer> FromWire(const std::string& text);
 };
 

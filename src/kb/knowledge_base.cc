@@ -1,6 +1,7 @@
 #include "kb/knowledge_base.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "kb/propagate.h"
 #include "obs/metrics.h"
@@ -77,6 +78,8 @@ KnowledgeBase::KnowledgeBase(const KnowledgeBase& other)
       base_log_(other.base_log_),
       instances_(other.instances_),
       rules_on_node_(other.rules_on_node_),
+      record_holders_(other.record_holders_),
+      state_site_holders_(other.state_site_holders_),
       rules_(other.rules_),
       fills_index_(other.fills_index_),
       stats_(other.stats_) {}
@@ -88,12 +91,14 @@ std::unique_ptr<KnowledgeBase> KnowledgeBase::Clone() const {
 size_t KnowledgeBase::TakeCowCopyCount() {
   return states_.TakeCopies() + base_log_.TakeCopies() +
          instances_.TakeCopies() + rules_on_node_.TakeCopies() +
+         record_holders_.TakeCopies() + std::exchange(state_site_copies_, 0) +
          fills_index_.TakeCopies() + taxonomy_.TakeCowCopies();
 }
 
 size_t KnowledgeBase::ApproxSharedCowBytes() const {
   return states_.ApproxChunkBytes() + base_log_.ApproxChunkBytes() +
          instances_.ApproxChunkBytes() + rules_on_node_.ApproxChunkBytes() +
+         record_holders_.ApproxChunkBytes() +
          fills_index_.ApproxChunkBytes() + taxonomy_.ApproxSharedBytes();
 }
 
@@ -401,6 +406,8 @@ Status KnowledgeBase::RederiveAll() {
     st.derived = IntrinsicForm(static_cast<IndId>(i));
   }
   instances_.Clear();
+  record_holders_.Clear();
+  state_site_holders_.reset();
   fills_index_.Clear();
 
   Propagator prop(this);
@@ -437,6 +444,16 @@ bool KnowledgeBase::IsClassicIndividual(IndId ind) const {
 const DynamicBitset& KnowledgeBase::Instances(NodeId node) const {
   const DynamicBitset* inds = instances_.Find(node);
   return inds == nullptr ? EmptyExtension() : *inds;
+}
+
+const DynamicBitset& KnowledgeBase::RecordHolders(RoleId role) const {
+  const DynamicBitset* holders = record_holders_.Find(role);
+  return holders == nullptr ? EmptyExtension() : *holders;
+}
+
+const DynamicBitset& KnowledgeBase::StateSiteHolders() const {
+  return state_site_holders_ == nullptr ? EmptyExtension()
+                                        : *state_site_holders_;
 }
 
 std::vector<IndId> KnowledgeBase::AllClassicIndividuals() const {

@@ -206,6 +206,18 @@ class KnowledgeBase {
   /// maintained incrementally), as a bitset over IndIds.
   const DynamicBitset& Instances(NodeId node) const;
 
+  /// \brief Individuals whose derived state has a record on `role` (a
+  /// bound, a filler, a closure or a value restriction): the only
+  /// individuals where Disjoint can find a clash on a role a query
+  /// constrains. ask-possible's exclusion surface reads it.
+  const DynamicBitset& RecordHolders(RoleId role) const;
+
+  /// \brief Individuals whose derived state carries a user
+  /// disjoint-primitive atom, an enumeration or a co-reference: the
+  /// state-side sites where Disjoint can find a clash whatever roles the
+  /// query constrains.
+  const DynamicBitset& StateSiteHolders() const;
+
   /// \brief Filler-inverted postings: the query planner's FILLS access
   /// path, reverse path-query steps and the propagation cascade.
   /// Immutable on published snapshots.
@@ -346,6 +358,14 @@ class KnowledgeBase {
   /// and the writer copies one on its first write after a publish.
   CowVector<std::shared_ptr<DynamicBitset>> instances_;
   CowVector<std::shared_ptr<std::vector<size_t>>> rules_on_node_;
+  /// ask-possible's stored exclusion sites: indexed by RoleId, the
+  /// record holders; and the state-site holders, boxed the same way
+  /// (written through MutableBoxed). Written only by
+  /// Propagator::MergeInto (when a derived state changes, journaled for
+  /// rollback), cleared by RederiveAll.
+  CowVector<std::shared_ptr<DynamicBitset>> record_holders_;
+  std::shared_ptr<DynamicBitset> state_site_holders_;
+  size_t state_site_copies_ = 0;
   std::vector<Rule> rules_;
   /// Filler-first postings (filler -> role -> holders): the planner's
   /// FILLS access path and the cascade's "who holds this filler". Written

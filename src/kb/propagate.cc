@@ -62,6 +62,13 @@ void Propagator::RollbackAll() {
   for (const auto& [node, ind] : journal_.instance_inserts) {
     kb_->instances_.MutableValue(node).Reset(ind);
   }
+  for (const auto& [role, ind] : journal_.record_inserts) {
+    kb_->record_holders_.MutableValue(role).Reset(ind);
+  }
+  for (IndId ind : journal_.state_site_inserts) {
+    MutableBoxed(kb_->state_site_holders_, &kb_->state_site_copies_)
+        .Reset(ind);
+  }
   for (const Journal::Posting& p : journal_.postings_added) {
     kb_->fills_index_.Remove(p.role, p.filler, p.host);
   }
@@ -99,11 +106,37 @@ Status Propagator::MergeInto(IndId ind, const NormalForm& nf) {
            : merged->Equals(*st.derived));
   if (!unchanged) {
     st.derived = merged;
+    IndexExclusionSites(ind, *merged);
     Enqueue(ind);
     // Whoever holds this individual as a filler may now recognize more.
     for (IndId host : kb_->fills_index_.Holders(ind)) Enqueue(host);
   }
   return Status::OK();
+}
+
+void Propagator::IndexExclusionSites(IndId ind, const NormalForm& derived) {
+  // A derived state only gains records and atoms within an update (meets
+  // never drop a constraint), so a site, once set, stays until rollback
+  // or re-derivation.
+  for (const auto& [role, rr] : derived.roles()) {
+    if (kb_->RecordHolders(role).Test(ind)) continue;
+    kb_->record_holders_.MutableValue(role).Set(ind);
+    journal_.record_inserts.emplace_back(role, ind);
+  }
+  if (kb_->StateSiteHolders().Test(ind)) return;
+  const Vocabulary& vocab = *kb_->vocab_;
+  const bool state_site =
+      derived.enumeration().has_value() || !derived.coref().empty() ||
+      std::any_of(derived.atoms().begin(), derived.atoms().end(),
+                  [&vocab](AtomId atom) {
+                    return vocab.atom(atom).group != kNoSymbol &&
+                           !vocab.atom(atom).builtin;
+                  });
+  if (state_site) {
+    MutableBoxed(kb_->state_site_holders_, &kb_->state_site_copies_)
+        .Set(ind);
+    journal_.state_site_inserts.push_back(ind);
+  }
 }
 
 IndividualState& Propagator::Touch(IndId ind) {

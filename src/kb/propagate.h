@@ -59,6 +59,10 @@ class Propagator {
     std::map<IndId, IndividualState> undo;
     /// (node, ind) pairs actually inserted into the instance index.
     std::vector<std::pair<NodeId, IndId>> instance_inserts;
+    /// (role, ind) pairs actually inserted into the record holders, and
+    /// individuals actually inserted into the state-site holders.
+    std::vector<std::pair<RoleId, IndId>> record_inserts;
+    std::vector<IndId> state_site_inserts;
     /// Postings actually inserted into the fills index.
     struct Posting {
       RoleId role;
@@ -75,6 +79,9 @@ class Propagator {
   /// enqueues it (and every individual holding it as a filler) if
   /// anything changed.
   Status MergeInto(IndId ind, const NormalForm& nf);
+
+  /// Adds `ind` to the exclusion sites its new derived state carries.
+  void IndexExclusionSites(IndId ind, const NormalForm& derived);
 
   /// Journals (first touch) and returns a writable state record.
   IndividualState& Touch(IndId ind);

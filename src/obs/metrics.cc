@@ -31,6 +31,7 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "planner-scan-path",
     "planner-postings-scanned",
     "planner-candidates-pruned",
+    "exclusion-tests",
 };
 
 constexpr const char* kOpNames[kNumOps] = {

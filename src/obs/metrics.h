@@ -107,8 +107,8 @@ enum class Counter : uint32_t {
   /// Maintained by CounterMaxTo directly on the global total.
   kPropagationMaxWavefront,
   /// Concept retrievals the planner answered through an index-derived
-  /// candidate set (FILLS postings / host ranges / enumerations,
-  /// including the equivalent-concept extension fast path).
+  /// candidate set (FILLS postings / enumerations, including the
+  /// equivalent-concept extension fast path).
   kPlannerIndexPath,
   /// Concept retrievals the planner answered by the taxonomy-pruned
   /// candidate scan (the paper's Section 5 technique).
@@ -119,6 +119,9 @@ enum class Counter : uint32_t {
   /// Candidates the index intersection eliminated before the
   /// per-candidate Satisfies test (work the scan path would have done).
   kPlannerCandidatesPruned,
+  /// ask-possible exclusion tests: one per DisjointFrom call, i.e. per
+  /// undecided individual on the query's exclusion surface.
+  kExclusionTests,
   kCount
 };
 

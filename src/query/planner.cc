@@ -350,38 +350,35 @@ PlanNode PlanConcept(const KnowledgeBase& kb, const NormalForm& nf) {
   return BuildTree(kb, nf, p, nullptr);
 }
 
-Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
-                                        const NormalForm& nf, PlanNode* plan) {
-  RetrievalResult out;
+namespace {
+
+/// RetrieveConcept's body, answering as a bitset over the visible bound
+/// (RetrievePossible subtracts it from the visible set word by word).
+DynamicBitset ConceptAnswers(const KnowledgeBase& kb, const NormalForm& nf,
+                             PlanNode* plan, RetrievalStats* stats) {
   Prepared p = Prepare(kb, nf);
-  out.stats.classification_tests = p.cls.subsumption_tests;
-  std::set<IndId> answers;
+  stats->classification_tests = p.cls.subsumption_tests;
 
   if (p.cls.equivalent) {
     // The query names (an equivalent of) a schema concept: its extension
     // is maintained incrementally; no tests at all.
     const DynamicBitset& inst = kb.Instances(*p.cls.equivalent);
-    out.answers = inst.ToVector();
-    out.stats.answers_from_index += inst.Count();
+    stats->answers_from_index += inst.Count();
     CLASSIC_OBS_COUNT(kPlannerIndexPath);
     if (plan != nullptr) {
       *plan = Node("equivalent-instances", {NodeName(kb, *p.cls.equivalent)},
                    inst.Count());
       plan->act = inst.Count();
     }
-    return out;
+    return inst;
   }
 
   // Instances of subsumed named concepts satisfy the query by definition.
+  DynamicBitset answers(p.visible);
+  for (NodeId child : p.cls.children) answers.OrWith(kb.Instances(child));
   Acts acts;
-  for (NodeId child : p.cls.children) {
-    kb.Instances(child).ForEach([&](size_t i) {
-      if (answers.insert(static_cast<IndId>(i)).second) {
-        ++out.stats.answers_from_index;
-        ++acts.from_children;
-      }
-    });
-  }
+  acts.from_children = answers.Count();
+  stats->answers_from_index += answers.Count();
 
   if (p.use_index) {
     // Index path: every non-base source becomes a bitset filter (an
@@ -414,7 +411,7 @@ Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
     size_t pruned = 0;
     p.sources[p.base].ForEach([&](IndId i) {
       if (i >= p.visible) return;
-      if (answers.count(i) > 0) return;
+      if (answers.Test(i)) return;
       for (const DynamicBitset* f : filters) {
         if (!f->Test(i)) {
           ++pruned;
@@ -422,9 +419,9 @@ Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
         }
       }
       ++acts.candidates;
-      ++out.stats.candidates_tested;
+      ++stats->candidates_tested;
       if (kb.Satisfies(i, nf)) {
-        answers.insert(i);
+        answers.Set(i);
         ++acts.accepted;
       }
     });
@@ -438,12 +435,12 @@ Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
     std::vector<IndId> candidates;
     if (p.base == std::numeric_limits<size_t>::max()) {
       for (IndId i = 0; i < p.visible; ++i) {
-        if (answers.count(i) == 0) candidates.push_back(i);
+        if (!answers.Test(i)) candidates.push_back(i);
       }
     } else {
       const Source& base = p.sources[p.base];
       base.ForEach([&](IndId i) {
-        if (answers.count(i) > 0) return;
+        if (answers.Test(i)) return;
         for (const Source& s : p.sources) {
           if (&s == &base || s.kind != Source::Kind::kTaxonomy) continue;
           if (!s.Contains(i)) return;
@@ -453,18 +450,78 @@ Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
     }
     acts.candidates = candidates.size();
     for (IndId i : candidates) {
-      ++out.stats.candidates_tested;
+      ++stats->candidates_tested;
       if (kb.Satisfies(i, nf)) {
-        answers.insert(i);
+        answers.Set(i);
         ++acts.accepted;
       }
     }
     CLASSIC_OBS_COUNT(kPlannerScanPath);
   }
 
-  acts.answers = answers.size();
-  out.answers.assign(answers.begin(), answers.end());
+  acts.answers = answers.Count();
   if (plan != nullptr) *plan = BuildTree(kb, nf, p, &acts);
+  return answers;
+}
+
+// ask-possible's exclusion surface. DisjointProbe::DisjointFrom(state)
+// runs DisjointWalkingB (subsume.cc) with the state as `a` and the query
+// as `b`, and it can answer true only in these cases:
+//
+//   1. a or b is incoherent. A derived state never is (MergeInto rejects
+//      an incoherent meet), so only an incoherent query excludes, and it
+//      excludes everyone: RetrievePossible tests no one.
+//   2. a or b carries ONE-OF or SAME-AS at the top level, and their real
+//      meet is incoherent. A state carrying either is a state-site
+//      holder. A query ONE-OF tests only its members (the others are
+//      excluded by unique names); a query SAME-AS tests every visible
+//      individual.
+//   3. A grouped atom of b meets a different atom of its group in a.
+//      - A user disjoint-primitive group: a carries a user grouped atom,
+//        so it is a state-site holder.
+//      - The built-in groups (CLASSIC-THING vs HOST-THING; INTEGER, REAL,
+//        STRING, BOOLEAN): either b carries a host atom, HOST-THING or
+//        below, and every visible individual is tested; or b carries
+//        CLASSIC-THING and a is a host individual. Every host individual
+//        is on the surface, listed by the vocabulary: a host literal a
+//        snapshot reader interns never reaches propagation.
+//   4. a has a record on a role b constrains, and RolesClash finds the
+//      merged record incoherent. a is one of that role's record holders.
+//      The loop skips only roles a holds no record for, whatever the
+//      record carries: a state holding only (ALL r C) clashes with
+//      (AND (AT-LEAST 1 r) (ALL r D)) for disjoint primitives C and D.
+//
+// So outside the two test-everyone cases the surface is the state-site
+// holders, the record holders of every role the query's top level
+// constrains, and the host individuals.
+
+/// True if the query reaches every visible individual's state: a
+/// top-level SAME-AS, or a host atom (cases 2 and 3 above).
+bool TestsEveryIndividual(const NormalForm& q, const Vocabulary& vocab) {
+  if (!q.coref().empty()) return true;
+  return std::any_of(q.atoms().begin(), q.atoms().end(), [&vocab](AtomId a) {
+    return vocab.atom(a).builtin && a != vocab.classic_thing_atom();
+  });
+}
+
+/// The stored part of the surface for a coherent query without ONE-OF.
+DynamicBitset StoredSurface(const KnowledgeBase& kb, const NormalForm& q,
+                            IndId visible) {
+  DynamicBitset surface = kb.StateSiteHolders();
+  for (const auto& [role, rr] : q.roles()) {
+    surface.OrWith(kb.RecordHolders(role));
+  }
+  kb.vocab().ForEachHostIndividual(visible,
+                                   [&surface](IndId h) { surface.Set(h); });
+  return surface;
+}
+
+}  // namespace
+
+Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
+                                        const NormalForm& nf, PlanNode* plan) {
+  RetrievalResult out;
+  out.answers = ConceptAnswers(kb, nf, plan, &out.stats).ToVector();
   return out;
 }
 
@@ -524,40 +581,52 @@ Result<std::vector<IndId>> RetrievePossible(const KnowledgeBase& kb,
   }
   CLASSIC_ASSIGN_OR_RETURN(NormalFormPtr nf,
                            kb.normalizer().NormalizeConcept(query.full));
+  const NormalForm& q = *nf;
   PlanNode definite_plan;
-  CLASSIC_ASSIGN_OR_RETURN(
-      RetrievalResult definite,
-      RetrieveConcept(kb, *nf, plan != nullptr ? &definite_plan : nullptr));
+  RetrievalStats stats;
+  const DynamicBitset definite = ConceptAnswers(
+      kb, q, plan != nullptr ? &definite_plan : nullptr, &stats);
   const IndId visible = kb.num_visible_individuals();
-  const std::optional<std::set<IndId>>& members = nf->enumeration();
-  const DisjointProbe query_probe(*nf, kb.vocab());
-  std::vector<IndId> out;
-  size_t excluded = 0;
-  auto next_definite = definite.answers.begin();  // sorted
-  for (IndId i = 0; i < visible; ++i) {
-    if (next_definite != definite.answers.end() && *next_definite == i) {
-      ++next_definite;
-      continue;
-    }
+  DynamicBitset possible = DynamicBitset::Prefix(visible);
+  possible.AndNotWith(definite);
+  const size_t undecided = possible.Count();
+  size_t tests = 0;
+  if (q.incoherent()) {
+    possible = DynamicBitset();
+  } else {
     // Identity is definite under the unique-name assumption: an
     // enumeration excludes every non-member. Otherwise an individual is
-    // excluded only if its known state contradicts the query.
-    if ((members && members->count(i) == 0) ||
-        query_probe.DisjointFrom(*kb.state(i).derived)) {
-      ++excluded;
-      continue;
+    // excluded only if its known state contradicts the query, which can
+    // happen only on the surface above.
+    DynamicBitset surface;
+    if (q.enumeration()) {
+      for (IndId m : *q.enumeration()) surface.Set(m);
+      possible.AndWith(surface);
+      surface = possible;
+    } else if (TestsEveryIndividual(q, kb.vocab())) {
+      surface = possible;
+    } else {
+      surface = StoredSurface(kb, q, visible);
+      surface.AndWith(possible);
     }
-    out.push_back(i);
+    const DisjointProbe query_probe(q, kb.vocab());
+    surface.ForEach([&](size_t i) {
+      ++tests;
+      if (query_probe.DisjointFrom(*kb.state(static_cast<IndId>(i)).derived)) {
+        possible.Reset(i);
+      }
+    });
   }
+  CLASSIC_OBS_COUNT_N(kExclusionTests, tests);
   if (plan != nullptr) {
     *plan = Node("possible", {}, visible);
-    plan->act = out.size();
+    plan->act = possible.Count();
     plan->children.push_back(std::move(definite_plan));
     PlanNode exclusion = Node("exclusion-test", {}, visible);
-    exclusion.act = excluded;
+    exclusion.act = undecided - possible.Count();
     plan->children.push_back(std::move(exclusion));
   }
-  return out;
+  return possible.ToVector();
 }
 
 }  // namespace classic::planner

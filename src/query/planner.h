@@ -11,9 +11,9 @@
 //                   FILLS conjunct (Satisfies requires derived fillers to
 //                   be a superset of the query's, so each list is a
 //                   complete superset of the answers),
-//   - host-range:   the same postings reached through the per-role
-//                   host-value range map (point ranges for FILLS of host
-//                   literals; the range API itself serves interval scans),
+//   - host-range:   the posting list of a FILLS conjunct whose filler
+//                   is a host literal (the same fills index, rendered as
+//                   the point range [v..v]),
 //   - enumeration:  the members of a ONE-OF conjunct (identity is
 //                   definite under the unique-name assumption),
 //
@@ -107,13 +107,17 @@ Result<RetrievalResult> RetrieveQuery(const KnowledgeBase& kb,
                                       const Query& query, PlanNode* plan);
 
 /// \brief ask-possible: the visible individuals that neither satisfy the
-/// query nor are provably excluded by it. The definite answers come from
-/// RetrieveConcept (so they take its access paths); every other visible
-/// individual is excluded when it is not a member of the query's ONE-OF
-/// (unique names) or its derived state is Disjoint from the query. The
-/// plan, when requested, is `(possible <definite plan> (exclusion-test))`
-/// where the exclusion test's est is the visible count and its act the
-/// number excluded. Marked queries are NotImplemented.
+/// query nor are provably excluded by it, computed on word bitsets as
+/// visible \ definite \ excluded. The definite answers come from
+/// RetrieveConcept's access paths; every other visible individual is
+/// excluded when it is not a member of the query's ONE-OF (unique names)
+/// or its derived state is Disjoint from the query. Disjoint runs only
+/// on the query's exclusion surface (the case list in planner.cc): the
+/// individuals with a state-side site, a record on a role the query
+/// constrains, or a host value. The plan, when requested, is
+/// `(possible <definite plan> (exclusion-test))` where the exclusion
+/// test's est is the visible count and its act the number excluded.
+/// Marked queries are NotImplemented.
 Result<std::vector<IndId>> RetrievePossible(const KnowledgeBase& kb,
                                             const Query& query,
                                             PlanNode* plan);

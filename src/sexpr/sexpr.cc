@@ -1,6 +1,7 @@
 #include "sexpr/sexpr.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 
@@ -8,30 +9,173 @@
 
 namespace classic::sexpr {
 
+/// Tab-stop width used for column accounting (the convention every
+/// diagnostic position follows; documented in sexpr.h).
+constexpr uint32_t kTabWidth = 8;
+
+/// Consumes one character, keeping the line/column counters true.
+/// Column convention (see sexpr.h): columns are 1-based character
+/// counts, except that a tab advances to the next 8-wide tab stop
+/// (columns 9, 17, 25, ...) — matching how editors display the file,
+/// instead of counting the tab as one raw byte.
+char Lexer::Advance() {
+  char c = input_[pos_++];
+  if (c == '\n') {
+    ++line_;
+    col_ = 1;
+  } else if (c == '\t') {
+    col_ = ((col_ - 1) / kTabWidth + 1) * kTabWidth + 1;
+  } else {
+    ++col_;
+  }
+  return c;
+}
+
+std::string Lexer::Here() const {
+  return StrCat(" (line ", line_, ", column ", col_, ")");
+}
+
+Lexer::Token Lexer::Peek() {
+  while (!AtEnd()) {
+    const char c = input_[pos_];
+    if (c == ';') {  // comment to end of line
+      while (!AtEnd() && input_[pos_] != '\n') Advance();
+    } else if (std::isspace(static_cast<unsigned char>(c))) {
+      Advance();
+    } else {
+      break;
+    }
+  }
+  if (AtEnd()) return Token::kEnd;
+  switch (input_[pos_]) {
+    case '(':
+      return Token::kOpen;
+    case ')':
+      return Token::kClose;
+    case '"':
+      return Token::kString;
+    default:
+      return Token::kAtom;
+  }
+}
+
+Status Lexer::ReadString(std::string* out) {
+  const uint32_t line = line_, col = col_;
+  Advance();  // consume '"'
+  while (true) {
+    // The run up to the next quote or escape is copied in one append;
+    // only a run holding a newline or tab is stepped through Advance().
+    const size_t run = pos_;
+    bool plain = true;
+    size_t end = run;
+    for (; end < input_.size(); ++end) {
+      const char c = input_[end];
+      if (c == '"' || c == '\\') break;
+      plain = plain && c != '\n' && c != '\t';
+    }
+    if (plain) {
+      col_ += static_cast<uint32_t>(end - run);
+      pos_ = end;
+    }
+    while (pos_ < end) Advance();
+    out->append(input_.data() + run, end - run);
+    if (AtEnd()) {
+      return Status::InvalidArgument(
+          StrCat("unterminated string literal (opened at line ", line,
+                 ", column ", col, ")"));
+    }
+    if (Advance() == '"') return Status::OK();
+    if (AtEnd()) {
+      return Status::InvalidArgument(StrCat("dangling escape", Here()));
+    }
+    const char e = Advance();
+    switch (e) {
+      case 'n':
+        *out += '\n';
+        break;
+      case 't':
+        *out += '\t';
+        break;
+      case '"':
+        *out += '"';
+        break;
+      case '\\':
+        *out += '\\';
+        break;
+      default:
+        return Status::InvalidArgument(StrCat("bad escape: \\", e, Here()));
+    }
+  }
+}
+
 namespace {
 
-/// Recursive-descent reader over a raw character buffer. Tracks 1-based
-/// line/column positions and stamps every produced Value with the
-/// position of its first character.
+bool LooksNumeric(const std::string& tok) {
+  if (tok.empty()) return false;
+  size_t i = (tok[0] == '+' || tok[0] == '-') ? 1 : 0;
+  return i < tok.size() &&
+         (std::isdigit(static_cast<unsigned char>(tok[i])) || tok[i] == '.');
+}
+
+/// Classifies an atom: integer, then real, else symbol. A leading sign
+/// alone is a symbol.
+Value AtomValue(std::string tok) {
+  if (LooksNumeric(tok)) {
+    errno = 0;
+    char* end = nullptr;
+    long long i = std::strtoll(tok.c_str(), &end, 10);
+    if (errno == 0 && end == tok.c_str() + tok.size()) {
+      return Value::MakeInteger(static_cast<int64_t>(i));
+    }
+    errno = 0;
+    double d = std::strtod(tok.c_str(), &end);
+    if (errno == 0 && end == tok.c_str() + tok.size()) {
+      return Value::MakeReal(d);
+    }
+  }
+  return Value::MakeSymbol(std::move(tok));
+}
+
+}  // namespace
+
+// An atom is any run of characters excluding whitespace, parens, quotes
+// and the comment marker. `?:` prefixes (query markers) stay attached to
+// the token and are split by the description parser.
+Value Lexer::ReadAtom() {
+  const uint32_t line = line_, col = col_;
+  const size_t start = pos_;
+  while (!AtEnd()) {
+    const char c = input_[pos_];
+    if (std::isspace(static_cast<unsigned char>(c)) || c == '(' ||
+        c == ')' || c == '"' || c == ';')
+      break;
+    Advance();
+  }
+  Value v = AtomValue(std::string(input_.substr(start, pos_ - start)));
+  v.set_location(line, col);
+  return v;
+}
+
+namespace {
+
+/// Recursive-descent reader over the lexer's tokens. Stamps every
+/// produced Value with the position of its first character.
 class Reader {
  public:
-  /// Tab-stop width used for column accounting (the convention every
-  /// diagnostic position follows; documented in sexpr.h).
-  static constexpr uint32_t kTabWidth = 8;
+  using Token = Lexer::Token;
 
-  explicit Reader(const std::string& input) : input_(input) {}
+  explicit Reader(const std::string& input) : lex_(input) {}
 
   Result<Value> ReadOne() {
-    SkipSpace();
-    if (AtEnd()) return Status::InvalidArgument("empty input");
+    if (lex_.Peek() == Token::kEnd) {
+      return Status::InvalidArgument("empty input");
+    }
     return ReadValue();
   }
 
   Result<std::vector<Value>> ReadMany() {
     std::vector<Value> out;
-    while (true) {
-      SkipSpace();
-      if (AtEnd()) break;
+    while (lex_.Peek() != Token::kEnd) {
       CLASSIC_ASSIGN_OR_RETURN(Value v, ReadValue());
       out.push_back(std::move(v));
     }
@@ -39,171 +183,58 @@ class Reader {
   }
 
   Status ExpectEnd() {
-    SkipSpace();
-    if (!AtEnd()) {
+    if (lex_.Peek() != Token::kEnd) {
       return Status::InvalidArgument(
-          StrCat("trailing input after expression", Here()));
+          StrCat("trailing input after expression", lex_.Here()));
     }
     return Status::OK();
   }
 
  private:
-  bool AtEnd() const { return pos_ >= input_.size(); }
-  char Peek() const { return input_[pos_]; }
-
-  /// Consumes one character, keeping the line/column counters true.
-  /// Column convention (see sexpr.h): columns are 1-based character
-  /// counts, except that a tab advances to the next 8-wide tab stop
-  /// (columns 9, 17, 25, ...) — matching how editors display the file,
-  /// instead of counting the tab as one raw byte.
-  char Advance() {
-    char c = input_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      col_ = 1;
-    } else if (c == '\t') {
-      col_ = ((col_ - 1) / kTabWidth + 1) * kTabWidth + 1;
-    } else {
-      ++col_;
-    }
-    return c;
-  }
-
-  /// " (line L, column C)" for the current position.
-  std::string Here() const {
-    return StrCat(" (line ", line_, ", column ", col_, ")");
-  }
-
-  /// Stamps `v` with a recorded start position and returns it.
-  static Value At(Value v, uint32_t line, uint32_t col) {
-    v.set_location(line, col);
-    return v;
-  }
-
-  void SkipSpace() {
-    while (!AtEnd()) {
-      char c = Peek();
-      if (c == ';') {  // comment to end of line
-        while (!AtEnd() && Peek() != '\n') Advance();
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        Advance();
-      } else {
-        break;
-      }
-    }
-  }
-
+  /// Reads the value whose first token the caller has peeked.
   Result<Value> ReadValue() {
-    char c = Peek();
-    if (c == '(') return ReadList();
-    if (c == ')') {
-      return Status::InvalidArgument(StrCat("unexpected ')'", Here()));
+    const uint32_t line = lex_.line(), col = lex_.column();
+    switch (lex_.Peek()) {
+      case Token::kOpen:
+        return ReadList();
+      case Token::kString: {
+        std::string text;
+        CLASSIC_RETURN_NOT_OK(lex_.ReadString(&text));
+        Value v = Value::MakeString(std::move(text));
+        v.set_location(line, col);
+        return v;
+      }
+      case Token::kAtom:
+        return lex_.ReadAtom();
+      case Token::kClose:
+      case Token::kEnd:
+        break;
     }
-    if (c == '"') return ReadString();
-    return ReadAtom();
+    return Status::InvalidArgument(StrCat("unexpected ')'", lex_.Here()));
   }
 
   Result<Value> ReadList() {
-    uint32_t line = line_, col = col_;
-    Advance();  // consume '('
+    const uint32_t line = lex_.line(), col = lex_.column();
+    lex_.ConsumeParen();
     std::vector<Value> items;
     while (true) {
-      SkipSpace();
-      if (AtEnd()) {
+      const Token t = lex_.Peek();
+      if (t == Token::kEnd) {
         return Status::InvalidArgument(StrCat(
             "unterminated list (opened at line ", line, ", column ", col, ")"));
       }
-      if (Peek() == ')') {
-        Advance();
-        return At(Value::MakeList(std::move(items)), line, col);
+      if (t == Token::kClose) {
+        lex_.ConsumeParen();
+        Value v = Value::MakeList(std::move(items));
+        v.set_location(line, col);
+        return v;
       }
       CLASSIC_ASSIGN_OR_RETURN(Value v, ReadValue());
       items.push_back(std::move(v));
     }
   }
 
-  Result<Value> ReadString() {
-    uint32_t line = line_, col = col_;
-    Advance();  // consume '"'
-    std::string out;
-    while (true) {
-      if (AtEnd()) {
-        return Status::InvalidArgument(
-            StrCat("unterminated string literal (opened at line ", line,
-                   ", column ", col, ")"));
-      }
-      char c = Advance();
-      if (c == '"') return At(Value::MakeString(std::move(out)), line, col);
-      if (c == '\\') {
-        if (AtEnd()) {
-          return Status::InvalidArgument(StrCat("dangling escape", Here()));
-        }
-        char e = Advance();
-        switch (e) {
-          case 'n':
-            out += '\n';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          default:
-            return Status::InvalidArgument(
-                StrCat("bad escape: \\", e, Here()));
-        }
-      } else {
-        out += c;
-      }
-    }
-  }
-
-  // An atom is any run of characters excluding whitespace, parens, quotes
-  // and the comment marker. `?:` prefixes (query markers) stay attached to
-  // the token and are split by the description parser.
-  Result<Value> ReadAtom() {
-    uint32_t line = line_, col = col_;
-    size_t start = pos_;
-    while (!AtEnd()) {
-      char c = Peek();
-      if (std::isspace(static_cast<unsigned char>(c)) || c == '(' ||
-          c == ')' || c == '"' || c == ';')
-        break;
-      Advance();
-    }
-    std::string tok = input_.substr(start, pos_ - start);
-    // Try integer, then real, else symbol. A leading sign alone is a symbol.
-    if (LooksNumeric(tok)) {
-      errno = 0;
-      char* end = nullptr;
-      long long i = std::strtoll(tok.c_str(), &end, 10);
-      if (errno == 0 && end == tok.c_str() + tok.size()) {
-        return At(Value::MakeInteger(static_cast<int64_t>(i)), line, col);
-      }
-      errno = 0;
-      double d = std::strtod(tok.c_str(), &end);
-      if (errno == 0 && end == tok.c_str() + tok.size()) {
-        return At(Value::MakeReal(d), line, col);
-      }
-    }
-    return At(Value::MakeSymbol(std::move(tok)), line, col);
-  }
-
-  static bool LooksNumeric(const std::string& tok) {
-    if (tok.empty()) return false;
-    size_t i = (tok[0] == '+' || tok[0] == '-') ? 1 : 0;
-    return i < tok.size() &&
-           (std::isdigit(static_cast<unsigned char>(tok[i])) || tok[i] == '.');
-  }
-
-  const std::string& input_;
-  size_t pos_ = 0;
-  uint32_t line_ = 1;
-  uint32_t col_ = 1;
+  Lexer lex_;
 };
 
 void Render(const Value& v, std::string* out) {

@@ -55,15 +55,19 @@ std::vector<std::vector<size_t>> EquivalenceClasses(
 /// nested value restrictions and each filler's intrinsic compatibility)
 /// and allocates nothing. Only a level where either side carries ONE-OF
 /// or SAME-AS is decided by materializing that level's meet. ask-possible
-/// runs it, through DisjointProbe, once per visible individual.
+/// runs it, through DisjointProbe, once per undecided individual on the
+/// query's exclusion surface (query/planner.cc), which rests on this
+/// case list: a state can clash with the query only at a grouped atom,
+/// ONE-OF or SAME-AS, or a role record both sides carry.
 bool Disjoint(const NormalForm& a, const NormalForm& b,
               const Vocabulary& vocab);
 
 /// \brief Disjoint against one fixed form, for testing many forms in
 /// turn: the fixed side's share of the work (finding which of its atoms
 /// belong to a disjointness group) is done once, at construction.
-/// ask-possible builds one per query and tests every visible individual's
-/// derived state. Holds references to `fixed` and `vocab`.
+/// ask-possible builds one per query and tests the derived state of each
+/// individual on the query's exclusion surface. Holds references to
+/// `fixed` and `vocab`.
 class DisjointProbe {
  public:
   DisjointProbe(const NormalForm& fixed, const Vocabulary& vocab);

@@ -74,6 +74,32 @@ class DynamicBitset {
     }
   }
 
+  /// \brief this &= other (bits beyond `other`'s capacity clear).
+  void AndWith(const DynamicBitset& other) {
+    if (words_.size() > other.words_.size()) {
+      words_.resize(other.words_.size());
+    }
+    count_ = 0;
+    for (size_t i = 0; i < words_.size(); ++i) {
+      words_[i] &= other.words_[i];
+      count_ += static_cast<size_t>(__builtin_popcountll(words_[i]));
+    }
+  }
+
+  /// \brief this &= ~other.
+  void AndNotWith(const DynamicBitset& other) {
+    const size_t n = words_.size() < other.words_.size() ? words_.size()
+                                                         : other.words_.size();
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t cleared = words_[i] & other.words_[i];
+      words_[i] &= ~other.words_[i];
+      count_ -= static_cast<size_t>(__builtin_popcountll(cleared));
+    }
+  }
+
+  /// \brief The set {0, ..., nbits - 1}.
+  static DynamicBitset Prefix(size_t nbits);
+
   /// \brief True iff every bit of this is also set in `other`.
   bool IsSubsetOf(const DynamicBitset& other) const {
     for (size_t i = 0; i < words_.size(); ++i) {

@@ -38,6 +38,21 @@
 
 namespace classic {
 
+/// Writer-only: the value behind `box`, created when the box is empty and
+/// copied first while a copy still shares it (use_count() > 1, the
+/// copy-on-write trigger); each copy bumps `*copies`. CowVector's boxed
+/// slots and a store's standalone boxed value share it.
+template <typename V>
+V& MutableBoxed(std::shared_ptr<V>& box, size_t* copies) {
+  if (!box) {
+    box = std::make_shared<V>();
+  } else if (box.use_count() > 1) {
+    box = std::make_shared<V>(*box);
+    ++*copies;
+  }
+  return *box;
+}
+
 template <typename T>
 class CowVector {
  public:
@@ -122,16 +137,8 @@ class CowVector {
   /// in place after that.
   template <typename Box = T>
   typename Box::element_type& MutableValue(size_t i) {
-    using V = typename Box::element_type;
     GrowTo(i);
-    Box& box = Mutable(i);
-    if (!box) {
-      box = std::make_shared<V>();
-    } else if (box.use_count() > 1) {
-      box = std::make_shared<V>(*box);
-      ++copies_;
-    }
-    return *box;
+    return MutableBoxed(Mutable(i), &copies_);
   }
 
   // --- Publish instrumentation --------------------------------------------

@@ -72,6 +72,38 @@ TEST(DynamicBitsetTest, OrWithDifferentLengths) {
   EXPECT_EQ(b.Count(), 2u);
 }
 
+TEST(DynamicBitsetTest, AndAndAndNotAcrossLengths) {
+  DynamicBitset a;
+  for (size_t i : {3u, 64u, 200u}) a.Set(i);
+  DynamicBitset b;
+  b.Set(64);
+  DynamicBitset both = a;
+  both.AndWith(b);  // bits past b's capacity clear
+  EXPECT_EQ(both.ToVector(), (std::vector<uint32_t>{64}));
+  EXPECT_EQ(both.Count(), 1u);
+  DynamicBitset rest = a;
+  rest.AndNotWith(b);
+  EXPECT_EQ(rest.ToVector(), (std::vector<uint32_t>{3, 200}));
+  EXPECT_EQ(rest.Count(), 2u);
+  // A shorter left side is unaffected by the other's extra words.
+  b.AndNotWith(a);
+  EXPECT_TRUE(b.Empty());
+  b.Set(1000);
+  b.AndWith(a);
+  EXPECT_TRUE(b.Empty());
+}
+
+TEST(DynamicBitsetTest, PrefixSetsExactlyTheLowBits) {
+  for (size_t n : {0u, 1u, 63u, 64u, 65u, 130u}) {
+    const DynamicBitset p = DynamicBitset::Prefix(n);
+    EXPECT_EQ(p.Count(), n);
+    std::vector<uint32_t> want;
+    for (size_t i = 0; i < n; ++i) want.push_back(static_cast<uint32_t>(i));
+    EXPECT_EQ(p.ToVector(), want) << n;
+    EXPECT_FALSE(p.Test(n));
+  }
+}
+
 TEST(DynamicBitsetTest, SubsetAcrossLengths) {
   DynamicBitset small;
   small.Set(10);

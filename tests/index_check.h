@@ -18,7 +18,11 @@
 //     derived fillers (a null posting and an empty one are equal);
 //   - RulesOnNode for every node, from rules() in index order;
 //   - Holders(f), the set propagation's cascade re-examines, equals the
-//     union over roles of Postings(r, f).
+//     union over roles of Postings(r, f);
+//   - ask-possible's exclusion sites: RecordHolders(r) for every role,
+//     from each visible individual's derived role records, and
+//     StateSiteHolders(), from each derived state's user
+//     disjoint-primitive atoms, enumeration and co-references.
 //
 // Usage: EXPECT_TRUE(CheckIndexes(db.kb())) after an update, on a live
 // database or on a published snapshot's kb().
@@ -85,14 +89,38 @@ inline ::testing::AssertionResult CheckIndexes(const KnowledgeBase& kb) {
   const IndId limit = kb.num_visible_individuals();
   const Taxonomy& tax = kb.taxonomy();
 
+  const size_t num_roles = kb.vocab().num_roles();
   std::vector<std::vector<IndId>> extensions(tax.num_nodes());
   std::map<std::pair<RoleId, IndId>, std::vector<IndId>> postings;
+  std::vector<std::vector<IndId>> record_holders(num_roles);
+  std::vector<IndId> state_sites;
   for (IndId i = 0; i < limit; ++i) {
     const IndividualState& st = kb.state(i);
     for (NodeId node : st.subsumer_nodes) extensions[node].push_back(i);
     for (const auto& [role, rr] : st.derived->roles()) {
+      record_holders[role].push_back(i);
       for (IndId filler : rr.fillers) postings[{role, filler}].push_back(i);
     }
+    bool state_site = st.derived->enumeration().has_value() ||
+                      !st.derived->coref().empty();
+    for (AtomId atom : st.derived->atoms()) {
+      const AtomInfo& info = kb.vocab().atom(atom);
+      if (info.group != kNoSymbol && !info.builtin) state_site = true;
+    }
+    if (state_site) state_sites.push_back(i);
+  }
+
+  for (RoleId role = 0; role < num_roles; ++role) {
+    const std::vector<IndId> served = Members(&kb.RecordHolders(role));
+    if (served != record_holders[role]) {
+      return Differs("record holders of " + index_check::RoleName(kb, role),
+                     Names(kb, served), Names(kb, record_holders[role]));
+    }
+  }
+  const std::vector<IndId> served_sites = Members(&kb.StateSiteHolders());
+  if (served_sites != state_sites) {
+    return Differs("state-site holders", Names(kb, served_sites),
+                   Names(kb, state_sites));
   }
 
   for (NodeId node = 0; node < tax.num_nodes(); ++node) {
@@ -104,7 +132,6 @@ inline ::testing::AssertionResult CheckIndexes(const KnowledgeBase& kb) {
     }
   }
 
-  const size_t num_roles = kb.vocab().num_roles();
   for (IndId filler = 0; filler < limit; ++filler) {
     std::set<IndId> holders;
     for (RoleId role = 0; role < num_roles; ++role) {

@@ -159,6 +159,49 @@ TEST_F(ObsTest, ServeQueryStatsAreExactAndMemoized) {
   EXPECT_GE(m.counter(Counter::kSnapshotAcquisitions), 1u);
 }
 
+// ask-possible runs one exclusion test per undecided individual on the
+// query's exclusion surface: the state-site holders (disjoint
+// primitives), the record holders of the roles the query constrains and
+// the host individuals. A host atom in the query reaches every state.
+TEST_F(ObsTest, AskPossibleCountsExclusionTestsOnTheSurface) {
+  Database db;
+  ASSERT_TRUE(db.DefineRole("r").ok());
+  ASSERT_TRUE(db.DefineRole("s").ok());
+  ASSERT_TRUE(
+      db.DefineConcept("MALE", "(DISJOINT-PRIMITIVE CLASSIC-THING sex m)")
+          .ok());
+  ASSERT_TRUE(
+      db.DefineConcept("FEMALE", "(DISJOINT-PRIMITIVE CLASSIC-THING sex f)")
+          .ok());
+  ASSERT_TRUE(db.CreateIndividual("A").ok());
+  ASSERT_TRUE(db.CreateIndividual("B", "(FILLS r 5)").ok());
+  ASSERT_TRUE(db.CreateIndividual("C", "(ALL s MALE)").ok());
+  ASSERT_TRUE(db.CreateIndividual("D", "MALE").ok());
+  ASSERT_TRUE(db.CreateIndividual("E", "FEMALE").ok());
+
+  // Surface: D and E (grouped atoms), C (a record on s) and the host 5;
+  // B's record is on r, which the query does not constrain. D and 5 are
+  // excluded.
+  QueryAnswer a = KbEngine::ServeQuery(
+      db.kb(),
+      QueryRequest::AskPossible("(AND FEMALE (AT-LEAST 1 s))").Explain());
+  ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+  EXPECT_EQ(a.stats.counter(Counter::kExclusionTests), 4u);
+  ASSERT_EQ(a.values.size(), 5u);
+  EXPECT_NE(a.values[0].find("(exclusion-test est=6 act=2)"),
+            std::string::npos)
+      << a.values[0];
+  EXPECT_EQ(std::vector<std::string>(a.values.begin() + 1, a.values.end()),
+            (std::vector<std::string>{"A", "B", "C", "E"}));
+
+  // The host 5 is the one definite INTEGER; all five others are tested.
+  QueryAnswer host = KbEngine::ServeQuery(db.kb(),
+                                          QueryRequest::AskPossible("INTEGER"));
+  ASSERT_TRUE(host.status.ok()) << host.status.ToString();
+  EXPECT_EQ(host.stats.counter(Counter::kExclusionTests), 5u);
+  EXPECT_TRUE(host.values.empty());
+}
+
 TEST_F(ObsTest, MutationCountsPropagationWork) {
   Database db;
   ASSERT_TRUE(db.DefineRole("eat").ok());

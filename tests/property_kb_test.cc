@@ -9,7 +9,9 @@
 //     queries;
 //   - consistency: the answer set and the possible set never overlap;
 //   - possible set: engine ask-possible equals a reference scan under
-//     every planner mode;
+//     every planner mode, on the master and on a published snapshot, over
+//     a generator with disjoint primitives, SAME-AS, ALL-only assertions
+//     and host literals;
 //   - persistence: snapshot + reload reproduces every extension;
 //   - retraction: retract + reassert returns to the same state.
 
@@ -35,6 +37,8 @@ namespace {
 constexpr size_t kConcepts = 8;
 constexpr size_t kRoles = 4;
 constexpr size_t kInds = 14;
+/// Members of the one disjoint-primitive group (G0 .. G2).
+constexpr size_t kGroupMembers = 3;
 
 /// Builds a random-but-consistent database; records which updates were
 /// accepted.
@@ -54,6 +58,11 @@ class RandomDb {
           StrCat("D", i),
           StrCat("(AND P", i % (kConcepts / 2), " (AT-LEAST 1 q",
                  i % kRoles, "))")));
+    }
+    for (size_t i = 0; i < kGroupMembers; ++i) {
+      Must(db_.DefineConcept(
+          StrCat("G", i),
+          StrCat("(DISJOINT-PRIMITIVE CLASSIC-THING grp g", i, ")")));
     }
     for (size_t i = 0; i < kInds; ++i) {
       Must(db_.CreateIndividual(StrCat("X", i)));
@@ -96,11 +105,12 @@ class RandomDb {
 
   /// Step, or one of the updates ask-possible's exclusion test reasons
   /// about: host fillers, closed roles, host-typed and enumerated value
-  /// restrictions.
+  /// restrictions, disjoint primitives (asserted, or only under ALL),
+  /// SAME-AS over the attributes and host literals not seen before.
   bool RichStep() {
     std::string ind = StrCat("X", rng_.Below(kInds));
     std::string expr;
-    switch (rng_.Below(8)) {
+    switch (rng_.Below(12)) {
       case 0:
         expr = StrCat("(FILLS q", rng_.Below(kRoles), " ", rng_.Below(3), ")");
         break;
@@ -117,6 +127,20 @@ class RandomDb {
       case 4:
         expr = StrCat("(ALL q", rng_.Below(kRoles), " (ONE-OF X",
                       rng_.Below(kInds), " X", rng_.Below(kInds), "))");
+        break;
+      case 5:
+        expr = StrCat("G", rng_.Below(kGroupMembers));
+        break;
+      case 6:
+        expr = StrCat("(ALL q", rng_.Below(kRoles), " G",
+                      rng_.Below(kGroupMembers), ")");
+        break;
+      case 7:
+        expr = "(SAME-AS (q2) (q3))";
+        break;
+      case 8:
+        expr = StrCat("(FILLS q", rng_.Below(kRoles), " ", 10 + rng_.Below(90),
+                      ")");
         break;
       default:
         return Step();
@@ -271,10 +295,28 @@ std::vector<std::string> NaivePossible(const KnowledgeBase& kb,
   return out;
 }
 
+/// Engine ask-possible against NaivePossible on `kb`, for every query
+/// and under every planner mode.
+void ExpectPossibleEqualsNaive(const KnowledgeBase& kb,
+                               const std::vector<std::string>& queries,
+                               const std::string& where) {
+  for (planner::Mode mode : {planner::Mode::kAuto, planner::Mode::kForceIndex,
+                             planner::Mode::kForceScan}) {
+    planner::SetMode(mode);
+    for (const std::string& text : queries) {
+      QueryAnswer a = KbEngine::ServeQuery(kb, QueryRequest::AskPossible(text));
+      ASSERT_TRUE(a.status.ok()) << text << ": " << a.status.ToString();
+      EXPECT_EQ(a.values, NaivePossible(kb, text))
+          << text << " on the " << where << " (planner mode "
+          << static_cast<int>(mode) << ")";
+    }
+  }
+  planner::SetMode(planner::Mode::kAuto);
+}
+
 TEST_P(KbPropertyTest, PossibleEqualsNaive) {
   RandomDb rdb(GetParam() * 43 + 17);
   for (int i = 0; i < 80; ++i) rdb.RichStep();
-  const KnowledgeBase& kb = rdb.db().kb();
   Rng& rng = rdb.rng();
   std::vector<std::string> queries = {
       "THING", "INTEGER", "(ONE-OF X1 X2 X3)", "(AND P0 (ONE-OF X0 X5))",
@@ -284,10 +326,14 @@ TEST_P(KbPropertyTest, PossibleEqualsNaive) {
       "(AND (AT-MOST 1 q0) (FILLS q0 X1))",
       "(ALL q2 (AND (ALL q0 P1) (AT-LEAST 1 q1)))",
       "(AND (ONE-OF X0 X1 X2 X3 X4 X5 X6) (AT-MOST 0 q0))",
-      "(AND (ONE-OF X7 X8 X9 X10 X11 X12 X13) (ALL q1 STRING))"};
-  for (int n = 0; n < 12; ++n) {
+      "(AND (ONE-OF X7 X8 X9 X10 X11 X12 X13) (ALL q1 STRING))",
+      "G0", "(AND G1 P2)", "(AND (AT-LEAST 1 q0) (ALL q0 G2))",
+      "(SAME-AS (q2) (q3))", "(AND G2 (SAME-AS (q3) (q2)))",
+      "(ALL q3 (AND G0 (AT-MOST 0 q1)))", "CLASSIC-THING", "NUMBER",
+      "(ONE-OF 1 X3 \"s1\")", "(AND (FILLS q1 42) (ALL q1 G1))"};
+  for (int n = 0; n < 16; ++n) {
     const uint64_t r = rng.Below(kRoles);
-    switch (rng.Below(4)) {
+    switch (rng.Below(6)) {
       case 0:
         queries.push_back(StrCat("(AND D", rng.Below(kConcepts / 2),
                                  " (AT-MOST 0 q", r, "))"));
@@ -306,19 +352,75 @@ TEST_P(KbPropertyTest, PossibleEqualsNaive) {
         queries.push_back(StrCat("(AND (FILLS q", r, " X", rng.Below(kInds),
                                  ") (ALL q", r, " NUMBER))"));
         break;
+      case 4:
+        queries.push_back(StrCat("(AND G", rng.Below(kGroupMembers),
+                                 " (AT-LEAST 1 q", r, ") (ALL q", r, " G",
+                                 rng.Below(kGroupMembers), "))"));
+        break;
+      case 5:
+        queries.push_back(StrCat("(AND (FILLS q", r, " ", 10 + rng.Below(90),
+                                 ") (AT-MOST 1 q", r, "))"));
+        break;
     }
   }
-  for (planner::Mode mode : {planner::Mode::kAuto, planner::Mode::kForceIndex,
-                             planner::Mode::kForceScan}) {
-    planner::SetMode(mode);
-    for (const std::string& text : queries) {
-      QueryAnswer a = KbEngine::ServeQuery(kb, QueryRequest::AskPossible(text));
-      ASSERT_TRUE(a.status.ok()) << text << ": " << a.status.ToString();
-      EXPECT_EQ(a.values, NaivePossible(kb, text))
-          << text << " (planner mode " << static_cast<int>(mode) << ")";
-    }
+  ExpectPossibleEqualsNaive(rdb.db().kb(), queries, "master");
+  KbEngine engine(KbEngine::Options{.num_threads = 1});
+  SnapshotPtr snap = engine.PublishFrom(rdb.db().kb());
+  EXPECT_TRUE(CheckIndexes(snap->kb()));
+  ExpectPossibleEqualsNaive(snap->kb(), queries, "snapshot");
+}
+
+// The role site holds every record, not just fillers, AT-MOST or CLOSE:
+// a state that holds only (ALL r C) clashes with a query that needs an
+// r-filler restricted to a primitive disjoint from C.
+TEST(PossibleSurfaceTest, ValueRestrictionOnlyStateIsExcluded) {
+  Database db;
+  ASSERT_TRUE(db.DefineRole("r").ok());
+  ASSERT_TRUE(
+      db.DefineConcept("C", "(DISJOINT-PRIMITIVE CLASSIC-THING grp c)").ok());
+  ASSERT_TRUE(
+      db.DefineConcept("D", "(DISJOINT-PRIMITIVE CLASSIC-THING grp d)").ok());
+  ASSERT_TRUE(db.CreateIndividual("Open").ok());
+  ASSERT_TRUE(db.CreateIndividual("OnlyAll", "(ALL r C)").ok());
+  EXPECT_TRUE(CheckIndexes(db.kb()));
+  const std::string query = "(AND (AT-LEAST 1 r) (ALL r D))";
+  KbEngine engine(KbEngine::Options{.num_threads = 1});
+  SnapshotPtr snap = engine.PublishFrom(db.kb());
+  const KnowledgeBase& master = db.kb();
+  for (const KnowledgeBase* kb : {&master, &snap->kb()}) {
+    QueryAnswer a = KbEngine::ServeQuery(*kb, QueryRequest::AskPossible(query));
+    ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+    EXPECT_EQ(a.values, std::vector<std::string>{"Open"});
+    EXPECT_EQ(a.values, NaivePossible(*kb, query));
   }
-  planner::SetMode(planner::Mode::kAuto);
+}
+
+// Host individuals come from the vocabulary: a literal a snapshot reader
+// interns never reaches propagation, yet it is visible, and excluded by
+// its host type, in the next epoch.
+TEST(PossibleSurfaceTest, HostLiteralInternedByReaderIsExcluded) {
+  Database db;
+  ASSERT_TRUE(db.DefineRole("r").ok());
+  ASSERT_TRUE(db.CreateIndividual("A").ok());
+  KbEngine engine(KbEngine::Options{.num_threads = 1});
+  SnapshotPtr first = engine.PublishFrom(db.kb());
+  const IndId before = first->kb().num_visible_individuals();
+  ASSERT_TRUE(
+      KbEngine::ServeQuery(first->kb(), QueryRequest::Ask("(FILLS r 4242)"))
+          .status.ok());
+  SnapshotPtr second = engine.PublishFrom(db.kb());
+  ASSERT_GT(second->kb().num_visible_individuals(), before);
+  EXPECT_TRUE(CheckIndexes(second->kb()));
+  for (const std::string query :
+       {"(AND CLASSIC-THING (AT-MOST 0 r))", "CLASSIC-THING"}) {
+    QueryAnswer a =
+        KbEngine::ServeQuery(second->kb(), QueryRequest::AskPossible(query));
+    ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+    EXPECT_EQ(a.values, NaivePossible(second->kb(), query)) << query;
+    EXPECT_EQ(std::find(a.values.begin(), a.values.end(), "4242"),
+              a.values.end())
+        << query;
+  }
 }
 
 TEST_P(KbPropertyTest, SnapshotReloadPreservesExtensions) {

@@ -11,6 +11,7 @@
 #include "kb/kb_engine.h"
 #include "serve/admission.h"
 #include "serve/framing.h"
+#include "sexpr/sexpr.h"
 
 namespace classic {
 namespace {
@@ -132,17 +133,90 @@ TEST(WireTest, AnswerRoundTripPreservesStatusAndValues) {
   }
 }
 
+/// Malformed answer texts: FromWire and the tree reader reject them all.
+const std::vector<std::string>& MalformedAnswers() {
+  static const std::vector<std::string> texts = {
+      "(answer)",
+      "(answer OK)",
+      "(answer OK \"\")",
+      "(answer OK \"\" (1 2))",      // values must be strings
+      "(answer 3 \"\" ())",          // code must be a symbol
+      "(request ask \"x\")",
+      "(answer OK \"\" (\"a",       // unterminated string
+      "(answer 2.5 \"\" ())",        // numeric code
+      "(answer OK \"\" ()) x",       // trailing input
+      "(answer OK \"\" (\"a\" b))",  // a value that is not a string
+  };
+  return texts;
+}
+
 TEST(WireTest, AnswerFromSexprRejectsMalformedForms) {
-  for (const char* bad : {
-           "(answer)",
-           "(answer OK)",
-           "(answer OK \"\")",
-           "(answer OK \"\" (1 2))",      // values must be strings
-           "(answer 3 \"\" ())",          // code must be a symbol
-           "(request ask \"x\")",
-       }) {
+  for (const std::string& bad : MalformedAnswers()) {
     EXPECT_FALSE(QueryAnswer::FromWire(bad).ok()) << bad;
   }
+}
+
+/// FromWire against the tree reader it stands in for: the same ok-ness
+/// and, when both accept, the same status code, message and values.
+void ExpectDecodesLikeTreeReader(const std::string& text) {
+  const Result<QueryAnswer> direct = QueryAnswer::FromWire(text);
+  const Result<sexpr::Value> tree = sexpr::Parse(text);
+  const Result<QueryAnswer> reference =
+      tree.ok() ? QueryAnswer::FromSexpr(*tree) : tree.status();
+  ASSERT_EQ(direct.ok(), reference.ok())
+      << text << "\n  direct: " << direct.status().ToString()
+      << "\n  tree:   " << reference.status().ToString();
+  if (!direct.ok()) {
+    EXPECT_EQ(direct.status().code(), reference.status().code()) << text;
+    return;
+  }
+  EXPECT_EQ(direct->status.code(), reference->status.code()) << text;
+  EXPECT_EQ(direct->status.message(), reference->status.message()) << text;
+  EXPECT_EQ(direct->values, reference->values) << text;
+}
+
+TEST(WireTest, AnswerDecoderMatchesTreeReader) {
+  std::vector<std::string> texts = MalformedAnswers();
+  for (const Status& status :
+       {Status::OK(), Status::NotFound("x"), Status::Internal("")}) {
+    for (const std::string& text : HostileTexts()) {
+      QueryAnswer answer;
+      answer.status = status.ok() ? status : Status(status.code(), text);
+      answer.values = {text, "", text};
+      texts.push_back(answer.ToWire());
+    }
+  }
+  const std::vector<std::string> spaced = {
+      "(answer OK \"\" ())",  // an empty value list
+      "  (answer OK \"\" ())\n\t",
+      "(answer\tOK\n\"m\"\n(\"a\"\t\"b\"))",
+      "; leading comment\n(answer OK \"\" (\"a\" ; inside\n \"b\")) ; after",
+      "(answer OK\"m\"(\"a\"\"b\"))",
+      "(answer NotFound \"gone\" ())",
+      "(answer NoSuchCode \"m\" (\"v\"))",
+      "(answer 1e999 \"\" ())",   // out of range: a symbol, like 12abc
+      "(answer 12abc \"\" ())",
+      "(answer OK \"\\n\\t\\\"\\\\\" (\"\\n\" \"\\t\" \"\\\"\" \"\\\\\"))",
+      "(answer OK \"\" (\"a\\q\"))",  // bad escape
+      "(answer OK \"\" (\"a\\",       // dangling escape
+      "(answer OK \"\" ()))",
+      "(answer OK \"\" () \"v\")",
+      "(answer OK \"m\" \"v\")",
+      "(answer (OK) \"\" ())",
+      "(ANSWER OK \"\" ())",
+      "(answer OK \"\" ((\"v\")))",
+      "",
+      "   ",
+      "; only a comment",
+      ")",
+      "answer",
+      "\"answer\"",
+  };
+  texts.insert(texts.end(), spaced.begin(), spaced.end());
+  // Every prefix of a well-formed answer is malformed in the same way.
+  const std::string whole = texts[MalformedAnswers().size()];
+  for (size_t n = 0; n < whole.size(); ++n) texts.push_back(whole.substr(0, n));
+  for (const std::string& text : texts) ExpectDecodesLikeTreeReader(text);
 }
 
 TEST(WireTest, FrameRoundTripAndPipelining) {
