@@ -169,7 +169,9 @@ class Database {
   Status SaveSnapshot(const std::string& path) const;
 
   /// \brief Replays a snapshot / log file (see interpreter.h). TEST
-  /// functions referenced by the file must be registered first.
+  /// functions referenced by the file must be registered first. A file
+  /// that cannot be read, or that has a syntax error anywhere, applies
+  /// nothing; a form that fails to apply stops the replay there.
   Status LoadFile(const std::string& path);
 
   /// \brief Checkpoint: writes a snapshot to `path` and truncates the

@@ -455,20 +455,22 @@ Result<std::vector<std::string>> Interpreter::ExecuteProgram(
 }
 
 Status Database::LoadFile(const std::string& path) {
-  CLASSIC_ASSIGN_OR_RETURN(std::vector<sexpr::Value> ops,
-                           storage::ReadOperations(path));
+  CLASSIC_ASSIGN_OR_RETURN(std::string text, storage::ReadFileText(path));
+  // The reader checks the whole text before the first form runs, so a
+  // syntax error anywhere applies nothing. The forms are then read again
+  // and applied one at a time: only one form's tree is alive at once.
+  CLASSIC_RETURN_NOT_OK(
+      sexpr::ForEachForm(text, [](sexpr::Value) { return Status::OK(); }));
   Interpreter interp(this);
   replaying_ = true;
-  for (const auto& op : ops) {
+  Status st = sexpr::ForEachForm(text, [&](sexpr::Value op) {
     auto r = interp.Execute(op);
-    if (!r.ok()) {
-      replaying_ = false;
-      return r.status().WithContext(
-          StrCat("replaying ", path, " at: ", op.ToString()));
-    }
-  }
+    if (r.ok()) return Status::OK();
+    return r.status().WithContext(
+        StrCat("replaying ", path, " at: ", op.ToString()));
+  });
   replaying_ = false;
-  return Status::OK();
+  return st;
 }
 
 }  // namespace classic

@@ -1,10 +1,21 @@
 #include "desc/nf_store.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.h"
 
 namespace classic {
+
+namespace {
+
+/// A coherent value restriction the store has not interned yet.
+bool NeedsInterning(const RoleRestriction& rr) {
+  return rr.value_restriction && !rr.value_restriction->incoherent() &&
+         rr.value_restriction->interned_id() == kNoNfId;
+}
+
+}  // namespace
 
 NormalFormPtr NormalFormStore::Intern(NormalForm nf) {
   if (nf.incoherent()) {
@@ -14,18 +25,35 @@ NormalFormPtr NormalFormStore::Intern(NormalForm nf) {
   return InternLocked(std::move(nf));
 }
 
+NormalFormPtr NormalFormStore::Own(NormalForm nf) {
+  // Most individual forms carry no fresh value restriction (a FILLS or a
+  // primitive assertion, a meet of two states whose restrictions are
+  // already canonical): they never take the lock readers intern under.
+  const bool fresh = std::any_of(
+      nf.roles_.begin(), nf.roles_.end(),
+      [](const auto& entry) { return NeedsInterning(entry.second); });
+  if (!nf.incoherent() && fresh) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    InternRestrictionsLocked(&nf);
+  }
+  return std::make_shared<const NormalForm>(std::move(nf));
+}
+
+void NormalFormStore::InternRestrictionsLocked(NormalForm* nf) {
+  for (auto& [role, rr] : nf->roles_) {
+    (void)role;
+    if (NeedsInterning(rr)) {
+      rr.value_restriction = InternLocked(NormalForm(*rr.value_restriction));
+    }
+  }
+}
+
 NormalFormPtr NormalFormStore::InternLocked(NormalForm nf) {
   // Deep interning: rewrite nested value restrictions to their canonical
   // objects first, so equality below compares against forms whose own
   // children are already shared, and so every reachable coherent form
   // carries an id for the subsumption memo.
-  for (auto& [role, rr] : nf.roles_) {
-    (void)role;
-    if (rr.value_restriction && !rr.value_restriction->incoherent() &&
-        rr.value_restriction->interned_id() == kNoNfId) {
-      rr.value_restriction = InternLocked(NormalForm(*rr.value_restriction));
-    }
-  }
+  InternRestrictionsLocked(&nf);
 
   size_t h = nf.Hash();
   auto& bucket = buckets_[h];

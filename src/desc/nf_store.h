@@ -1,23 +1,38 @@
 // Hash-consing store for normal forms.
 //
-// Every frozen NormalForm in one database is interned here exactly once:
-// structurally equal forms share one immutable object, identified by a
-// dense NfId. Interning is *deep* — nested value restrictions are interned
-// before their parent — so any two forms reachable from interned forms can
-// be compared by id, which is what makes the (NfId, NfId)-keyed
-// SubsumptionIndex valid at every level of the RoleSubsumes recursion.
+// Interning policy. A form is *interned* when it can be shared: concept
+// definitions, value restrictions at every depth, rule consequents,
+// intrinsic forms, and the forms readers normalize for queries (so a
+// repeated query keeps its memo hits). Structurally equal interned forms
+// share one immutable object, identified by a dense NfId. A form built
+// for one individual — its assertion forms, the CLOSE conjuncts frozen
+// for it, and the derived states propagation meets — is *owned*: it is
+// never shared, so the store interns only its nested value restrictions
+// and leaves the top level without an id, freed with its last holder.
+// The caller decides which kind a form is (Normalizer::Freeze or
+// FreezeOwned, Meet or MeetOwned), not an option.
+//
+// Interning is *deep* — nested value restrictions are interned before
+// their parent, owned parents included — so any two value restrictions
+// reachable from live forms can be compared by id, which is what makes
+// the (NfId, NfId)-keyed SubsumptionIndex valid at every level of the
+// RoleSubsumes recursion. An owned top level costs that index nothing:
+// an individual's state is tested against a concept by
+// KnowledgeBase::Satisfies, which reaches the index only through value
+// restrictions.
 //
 // Interned forms are immutable and ids are never reused, so facts derived
 // about a pair of ids (subsumption verdicts, most prominently) never go
 // stale: the invalidation story of the whole memoization substrate is
-// "there is nothing to invalidate".
+// "there is nothing to invalidate". The store therefore grows with the
+// schema and the queries asked, not with the individuals.
 //
 // One store per database. NfIds from different stores must never meet in
 // the same index (they are dense per-store counters).
 //
-// Concurrency: Intern serializes on a mutex (query normalization on a
-// shared snapshot may intern from several reader threads); form(id) is
-// lock-free — ids are only handed out after the form is published in
+// Concurrency: Intern and Own serialize on a mutex (query normalization
+// on a shared snapshot may intern from several reader threads); form(id)
+// is lock-free — ids are only handed out after the form is published in
 // stable storage.
 
 #pragma once
@@ -49,6 +64,10 @@ class NormalFormStore {
   /// they never need cache identity).
   NormalFormPtr Intern(NormalForm nf);
 
+  /// \brief Wraps `nf` as an owned form: its value restrictions are
+  /// interned, the form itself keeps kNoNfId and is not retained here.
+  NormalFormPtr Own(NormalForm nf);
+
   /// \brief The canonical form with this id. `id` must have been returned
   /// by this store.
   const NormalFormPtr& form(NfId id) const { return forms_[id]; }
@@ -59,6 +78,9 @@ class NormalFormStore {
  private:
   /// The recursion behind Intern; caller holds mutex_.
   NormalFormPtr InternLocked(NormalForm nf);
+  /// Interns the value restrictions of `nf` in place; caller holds
+  /// mutex_.
+  void InternRestrictionsLocked(NormalForm* nf);
 
   mutable std::mutex mutex_;
   /// hash -> ids of interned forms with that hash.

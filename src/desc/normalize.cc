@@ -11,13 +11,27 @@ NormalFormPtr Normalizer::Freeze(NormalForm nf) {
   return std::make_shared<const NormalForm>(std::move(nf));
 }
 
+NormalFormPtr Normalizer::FreezeOwned(NormalForm nf) {
+  nf.Tighten(*vocab_);
+  return Own(std::move(nf));
+}
+
+NormalFormPtr Normalizer::Own(NormalForm nf) {
+  if (options_.intern_forms) return store_.Own(std::move(nf));
+  return std::make_shared<const NormalForm>(std::move(nf));
+}
+
 Result<NormalFormPtr> Normalizer::NormalizeConcept(const DescPtr& desc) {
-  return NormalizeImpl(desc, /*allow_close=*/false);
+  NormalForm nf;
+  CLASSIC_RETURN_NOT_OK(Build(desc, /*allow_close=*/false, &nf));
+  return Freeze(std::move(nf));
 }
 
 Result<NormalFormPtr> Normalizer::NormalizeIndividualExpr(
     const DescPtr& desc) {
-  return NormalizeImpl(desc, /*allow_close=*/true);
+  NormalForm nf;
+  CLASSIC_RETURN_NOT_OK(Build(desc, /*allow_close=*/true, &nf));
+  return FreezeOwned(std::move(nf));
 }
 
 NormalFormPtr Normalizer::Meet(const NormalForm& a, const NormalForm& b) {
@@ -31,15 +45,20 @@ NormalFormPtr Normalizer::Meet(const NormalForm& a, const NormalForm& b) {
   return std::make_shared<const NormalForm>(std::move(met));
 }
 
-Result<NormalFormPtr> Normalizer::NormalizeImpl(const DescPtr& desc,
-                                                bool allow_close) {
+NormalFormPtr Normalizer::MeetOwned(const NormalFormPtr& a,
+                                    const NormalForm& b) {
+  NormalForm met = MeetNormalFormsValue(*a, b, *vocab_);
+  if (met.Equals(*a)) return a;
+  return Own(std::move(met));
+}
+
+Status Normalizer::Build(const DescPtr& desc, bool allow_close,
+                         NormalForm* nf) {
   if (desc == nullptr) {
     return Status::InvalidArgument("null description");
   }
   CLASSIC_OBS_COUNT(kNormalizations);
-  NormalForm nf;
-  CLASSIC_RETURN_NOT_OK(Apply(*desc, allow_close, &nf));
-  return Freeze(std::move(nf));
+  return Apply(*desc, allow_close, nf);
 }
 
 Result<IndId> Normalizer::ResolveInd(const IndRef& ref) {
@@ -102,8 +121,7 @@ Status Normalizer::Apply(const Description& d, bool allow_close,
 
     case DescKind::kAll: {
       CLASSIC_ASSIGN_OR_RETURN(RoleId role, vocab_->FindRole(d.role()));
-      CLASSIC_ASSIGN_OR_RETURN(NormalFormPtr vr,
-                               NormalizeImpl(d.child(), /*allow_close=*/false));
+      CLASSIC_ASSIGN_OR_RETURN(NormalFormPtr vr, NormalizeConcept(d.child()));
       RoleRestriction* rr = nf->MutableRole(role, *vocab_);
       rr->value_restriction =
           rr->value_restriction

@@ -41,23 +41,39 @@ class Normalizer {
   Normalizer(const Normalizer&) = delete;
   Normalizer& operator=(const Normalizer&) = delete;
 
-  /// \brief Normalizes a concept expression (CLOSE is rejected).
+  // Forms come in two kinds (nf_store.h): interned forms are shared
+  // through the store and carry an NfId; owned forms are built for one
+  // individual, so only their value restrictions are interned. Each
+  // entry point below fixes the kind it returns.
+
+  /// \brief Normalizes a concept expression (CLOSE is rejected); interned.
   Result<NormalFormPtr> NormalizeConcept(const DescPtr& desc);
 
-  /// \brief Normalizes an individual expression (CLOSE allowed).
+  /// \brief Normalizes an individual expression (CLOSE allowed); owned.
   Result<NormalFormPtr> NormalizeIndividualExpr(const DescPtr& desc);
 
-  /// \brief Conjunction of two already-normalized forms.
+  /// \brief Conjunction of two already-normalized forms; interned.
   NormalFormPtr Meet(const NormalForm& a, const NormalForm& b);
 
-  /// \brief Freezes a mutable form (tightens, then interns if enabled).
+  /// \brief Conjunction of an individual's form `a` with `b`; owned.
+  /// Returns `a` itself when `b` adds nothing to it.
+  NormalFormPtr MeetOwned(const NormalFormPtr& a, const NormalForm& b);
+
+  /// \brief Freezes a mutable form: tightens, then interns if enabled.
   NormalFormPtr Freeze(NormalForm nf);
+
+  /// \brief Freezes a mutable form built for one individual; owned.
+  NormalFormPtr FreezeOwned(NormalForm nf);
 
   const NormalFormStore& store() const { return store_; }
   Vocabulary* vocab() { return vocab_; }
 
  private:
-  Result<NormalFormPtr> NormalizeImpl(const DescPtr& desc, bool allow_close);
+  /// Normalizes `desc` into the mutable `nf` (not yet tightened).
+  Status Build(const DescPtr& desc, bool allow_close, NormalForm* nf);
+
+  /// Wraps a tightened form as owned.
+  NormalFormPtr Own(NormalForm nf);
 
   /// Adds the constraints of `d` to `nf` (recursing through AND and
   /// resolving all names).

@@ -305,7 +305,8 @@ Status KnowledgeBase::AssertIndBatch(
       rr->closed = true;
       rr->fillers = StateRef(e.ind).derived->role(*role).fillers;
       close_nf.Tighten(*vocab_);
-      st = prop.Run({}, {{e.ind, normalizer_->Freeze(std::move(close_nf))}});
+      st = prop.Run({},
+                    {{e.ind, normalizer_->FreezeOwned(std::move(close_nf))}});
       if (!st.ok()) break;
     }
   }
@@ -359,7 +360,7 @@ Status KnowledgeBase::ApplyIndividualExpr(Propagator* prop, IndId ind,
     rr->fillers = StateRef(ind).derived->role(role).fillers;
     close_nf.Tighten(*vocab_);
     CLASSIC_RETURN_NOT_OK(
-        prop->Run({}, {{ind, normalizer_->Freeze(std::move(close_nf))}}));
+        prop->Run({}, {{ind, normalizer_->FreezeOwned(std::move(close_nf))}}));
   }
   return Status::OK();
 }
@@ -625,9 +626,9 @@ Status KnowledgeBase::Repropagate() { return Propagate(AllClassicIndividuals());
 std::string KnowledgeBase::CanonicalDerivedState() const {
   // Everything rendered here is a deterministic function of stable ids:
   // normal forms print id-sorted atom/filler/role sets, instance sets
-  // iterate in ascending IndId order, and propagation interns no new ids
-  // (Meet/Tighten only combine existing ones) — so two runs that derive
-  // the same fixed point print the same bytes.
+  // iterate in ascending IndId order, and no NfId is printed (derived
+  // states are owned forms and carry none) — so two runs that derive the
+  // same fixed point print the same bytes.
   std::string out;
   const IndId limit = num_visible_individuals();
   for (IndId i = 0; i < limit; ++i) {

@@ -75,6 +75,8 @@ struct IndividualState {
   /// Base assertions, as asserted (the replay log for retraction).
   std::vector<DescPtr> asserted;
   /// Everything currently derivable, as one normal form. Never null.
+  /// Owned by this individual, not interned (nf_store.h), except for the
+  /// shared intrinsic form it starts from.
   NormalFormPtr derived;
   /// Every taxonomy node this individual is a recognized instance of.
   std::set<NodeId> subsumer_nodes;

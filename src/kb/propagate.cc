@@ -87,7 +87,11 @@ void Propagator::Enqueue(IndId ind) {
 
 Status Propagator::MergeInto(IndId ind, const NormalForm& nf) {
   IndividualState& st = Touch(ind);
-  NormalFormPtr merged = kb_->normalizer_->Meet(*st.derived, nf);
+  // A derived state is owned by its individual (nf_store.h): the meet is
+  // never interned, and it is the old state itself when `nf` adds nothing
+  // (MeetOwned compares the two with Equals), so pointer identity is the
+  // complete no-change test.
+  NormalFormPtr merged = kb_->normalizer_->MeetOwned(st.derived, nf);
   if (merged->incoherent()) {
     return Status::Inconsistent(
         StrCat("update would make ", kb_->vocab_->IndividualName(ind),
@@ -95,18 +99,9 @@ Status Propagator::MergeInto(IndId ind, const NormalForm& nf) {
                IncoherenceKindName(merged->incoherence_kind()),
                "): ", merged->incoherence_reason()));
   }
-  // Interning makes pointer identity a complete no-change test: both
-  // sides come from the store, so structural equality implies the same
-  // canonical object. The structural comparison remains as fallback for
-  // non-interned configurations.
-  const bool unchanged =
-      merged == st.derived ||
-      (merged->interned_id() != kNoNfId && st.derived->interned_id() != kNoNfId
-           ? merged->interned_id() == st.derived->interned_id()
-           : merged->Equals(*st.derived));
-  if (!unchanged) {
-    st.derived = merged;
-    IndexExclusionSites(ind, *merged);
+  if (merged != st.derived) {
+    st.derived = std::move(merged);
+    IndexExclusionSites(ind, *st.derived);
     Enqueue(ind);
     // Whoever holds this individual as a filler may now recognize more.
     for (IndId host : kb_->fills_index_.Holders(ind)) Enqueue(host);

@@ -164,7 +164,7 @@ class Reader {
  public:
   using Token = Lexer::Token;
 
-  explicit Reader(const std::string& input) : lex_(input) {}
+  explicit Reader(std::string_view input) : lex_(input) {}
 
   Result<Value> ReadOne() {
     if (lex_.Peek() == Token::kEnd) {
@@ -173,13 +173,12 @@ class Reader {
     return ReadValue();
   }
 
-  Result<std::vector<Value>> ReadMany() {
-    std::vector<Value> out;
+  Status ForEach(const std::function<Status(Value)>& fn) {
     while (lex_.Peek() != Token::kEnd) {
       CLASSIC_ASSIGN_OR_RETURN(Value v, ReadValue());
-      out.push_back(std::move(v));
+      CLASSIC_RETURN_NOT_OK(fn(std::move(v)));
     }
-    return out;
+    return Status::OK();
   }
 
   Status ExpectEnd() {
@@ -316,8 +315,18 @@ Result<Value> Parse(const std::string& input) {
 }
 
 Result<std::vector<Value>> ParseAll(const std::string& input) {
+  std::vector<Value> out;
+  CLASSIC_RETURN_NOT_OK(ForEachForm(input, [&out](Value v) {
+    out.push_back(std::move(v));
+    return Status::OK();
+  }));
+  return out;
+}
+
+Status ForEachForm(std::string_view input,
+                   const std::function<Status(Value)>& fn) {
   Reader reader(input);
-  return reader.ReadMany();
+  return reader.ForEach(fn);
 }
 
 }  // namespace classic::sexpr

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -185,5 +186,12 @@ Result<Value> Parse(const std::string& input);
 ///
 /// Lines starting with `;` are comments. Returns all toplevel forms.
 Result<std::vector<Value>> ParseAll(const std::string& input);
+
+/// \brief The per-form reader loop behind ParseAll: reads the toplevel
+/// forms of `input` one at a time and hands each to `fn` as soon as it
+/// is read, so only one form's tree is alive at once. Stops at the first
+/// reader error or the first non-OK status `fn` returns, and returns it.
+Status ForEachForm(std::string_view input,
+                   const std::function<Status(Value)>& fn);
 
 }  // namespace classic::sexpr

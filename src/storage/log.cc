@@ -1,6 +1,5 @@
 #include "storage/log.h"
 
-#include <sstream>
 
 #include "util/string_util.h"
 
@@ -61,14 +60,27 @@ void OperationLog::Close() {
   path_.clear();
 }
 
-Result<std::vector<sexpr::Value>> ReadOperations(const std::string& path) {
-  std::ifstream in(path);
+Result<std::string> ReadFileText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::IOError(StrCat("cannot open file: ", path));
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return sexpr::ParseAll(buf.str());
+  std::string text;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    text.append(chunk, static_cast<size_t>(in.gcount()));
+  }
+  // The loop stops at a clean end of file only with eofbit set; a failed
+  // read (EISDIR, EIO) leaves badbit instead.
+  if (!in.eof()) {
+    return Status::IOError(StrCat("cannot read file: ", path));
+  }
+  return text;
+}
+
+Result<std::vector<sexpr::Value>> ReadOperations(const std::string& path) {
+  CLASSIC_ASSIGN_OR_RETURN(std::string text, ReadFileText(path));
+  return sexpr::ParseAll(text);
 }
 
 }  // namespace classic::storage

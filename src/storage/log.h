@@ -55,6 +55,11 @@ class OperationLog {
   std::string path_;
 };
 
+/// \brief The whole text of a log / snapshot file. IOError if the file
+/// cannot be opened or a read fails (a directory, say): a failed read is
+/// never taken for an empty file.
+Result<std::string> ReadFileText(const std::string& path);
+
 /// \brief Reads every operation recorded in a log / snapshot file.
 Result<std::vector<sexpr::Value>> ReadOperations(const std::string& path);
 

@@ -66,6 +66,40 @@ TEST_F(StorageTest, ReadMissingFileFails) {
       storage::ReadOperations("/nonexistent/x.log").status().IsIOError());
 }
 
+TEST_F(StorageTest, UnreadableFileIsAnIOError) {
+  // A directory opens for reading, but every read of it fails: that is an
+  // I/O error, not an empty file that loads nothing.
+  const std::string dir = ::testing::TempDir();
+  EXPECT_TRUE(storage::ReadOperations(dir).status().IsIOError());
+  Database db;
+  EXPECT_TRUE(db.LoadFile(dir).IsIOError());
+}
+
+TEST_F(StorageTest, MalformedLastFormAppliesNothing) {
+  // Valid forms, then a torn tail: the load fails and applies none of
+  // the forms before it.
+  std::string path = TempPath("classic_torn_tail.log");
+  {
+    std::ofstream out(path);
+    out << "(define-role r)\n"
+           "(define-concept PERSON (PRIMITIVE CLASSIC-THING person))\n"
+           "(create-ind Rocky)\n"
+           "(assert-ind Rocky PERSON)\n"
+           "(create-ind Bullwinkle";
+  }
+  const Database fresh;
+  Database db;
+  Status st = db.LoadFile(path);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("unterminated"), std::string::npos);
+  const Vocabulary& vocab = db.kb().vocab();
+  EXPECT_EQ(vocab.num_individuals(), fresh.kb().vocab().num_individuals());
+  EXPECT_EQ(vocab.num_concepts(), fresh.kb().vocab().num_concepts());
+  EXPECT_EQ(vocab.num_roles(), fresh.kb().vocab().num_roles());
+  EXPECT_FALSE(db.FindIndividual("Rocky").ok());
+  std::remove(path.c_str());
+}
+
 TEST_F(StorageTest, SnapshotCapturesBase) {
   Database db;
   BuildSampleDb(&db);
