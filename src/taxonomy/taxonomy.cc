@@ -47,6 +47,15 @@ void CollectToldSubsumers(const Description& d, const Vocabulary& vocab,
   }
 }
 
+/// True if `nf` lists a known filler (FILLS) on some role at its top
+/// level.
+bool ListsFiller(const NormalForm& nf) {
+  for (const auto& [role, record] : nf.roles()) {
+    if (!record.fillers.empty()) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 Classification Taxonomy::Classify(const NormalForm& nf) const {
@@ -84,6 +93,23 @@ Classification Taxonomy::ClassifyInternal(
     return Subsumes(general, specific, subsume_index_.get());
   };
 
+  // Only a member of filler_nodes_ can be subsumed by a query that lists
+  // a top-level filler. SubsumesCached (subsume.cc) returns true for an
+  // incoherent `specific` (bottom). Otherwise SubsumesStructural runs
+  // RoleSubsumes on every role the query constrains, and RoleSubsumes
+  // fails unless IsSubset(general.fillers, specific.fillers): the node
+  // must list every filler the query lists on that role. A coherent node
+  // that lists no top-level filler lists none of them, so the query does
+  // not subsume it; an identical interned form (decide's id fast path)
+  // lists the same fillers and is a member. So for such a query, the
+  // equivalence test and phase 2 skip every other node without a memo
+  // probe.
+  const bool lists_filler = ListsFiller(nf);
+  auto query_subsumes = [&](NodeId node) {
+    if (lists_filler && !filler_nodes_.Test(node)) return false;
+    return decide(nf, *nodes_[node].nf);
+  };
+
   // Told subsumers (and, transitively, their ancestors) subsume the
   // target by construction: mark them proven so the top-down sweep walks
   // straight through them without testing.
@@ -115,7 +141,7 @@ Classification Taxonomy::ClassifyInternal(
   // Equivalence: a most-specific subsumer that the target also subsumes.
   DynamicBitset rejected(n);  // parents the target does not subsume
   for (NodeId p : out.parents) {
-    if (decide(nf, *nodes_[p].nf)) {
+    if (query_subsumes(p)) {
       out.equivalent = p;
       out.children.assign(nodes_[p].children.begin(),
                           nodes_[p].children.end());
@@ -131,9 +157,24 @@ Classification Taxonomy::ClassifyInternal(
   // and every root is a candidate. A failing node's descendants may still
   // pass, so failures recurse; successes stop (their descendants are
   // subsumees but not most general).
+  //
+  // The walk decides only strict descendants of a parent (the parents
+  // themselves are rejected), or every node when there is none. For a
+  // query that lists a filler, when no member of filler_nodes_ lies
+  // there, every decision would be false: skip the walk.
+  if (lists_filler) {
+    bool reachable = out.parents.empty() && !filler_nodes_.Empty();
+    filler_nodes_.ForEach([&](size_t member) {
+      for (NodeId p : out.parents) reachable |= IsAncestor(p, member);
+    });
+    if (!reachable) {
+      out.subsumption_tests = tests;
+      return out;
+    }
+  }
   DynamicBitset subsumees(n);
   auto down = [&](NodeId node) {
-    if (rejected.Test(node) || !decide(nf, *nodes_[node].nf)) return true;
+    if (rejected.Test(node) || !query_subsumes(node)) return true;
     subsumees.Set(node);
     return false;
   };
@@ -142,13 +183,13 @@ Classification Taxonomy::ClassifyInternal(
   } else {
     WalkDown(out.parents, down);
   }
-  // Keep only nodes with no subsumed strict ancestor among the found set;
-  // because the walk stops at successes, found nodes are incomparable
-  // unless reachable by different paths — filter to be safe.
+  // Keep only the most general found nodes. The walk stops at successes,
+  // but a found node can still be reached along another path that avoids
+  // its found ancestors (an incoherent node sits below every leaf), and
+  // that ancestor need not be a direct parent: test the whole ancestor
+  // set.
   subsumees.ForEach([&](size_t node) {
-    for (NodeId parent : nodes_[node].parents) {
-      if (subsumees.Test(parent)) return;
-    }
+    if (ancestor_sets_[node].Intersects(subsumees)) return;
     out.children.push_back(static_cast<NodeId>(node));
   });
 
@@ -184,6 +225,9 @@ Result<NodeId> Taxonomy::Insert(ConceptId cid) {
 
   NodeId node = static_cast<NodeId>(nodes_.size());
   nodes_.push_back({{cid}, info.normal_form, {}, {}});
+  if (info.normal_form->incoherent() || ListsFiller(*info.normal_form)) {
+    filler_nodes_.Set(node);
+  }
   node_of_concept_.GrowTo(cid, kNoNode);
   node_of_concept_.Mutable(cid) = node;
 

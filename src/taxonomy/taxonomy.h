@@ -16,7 +16,7 @@
 // most-general subsumees. Both sweeps, KB realization, the ancestor-index
 // update on insert and Descendants run through one downward walk
 // (WalkDown) over dense NodeId-indexed scratch: a vector queue and word
-// bitsets, allocated per call, so no search allocates per node. Three
+// bitsets, allocated per call, so no search allocates per node. Four
 // layers keep the constant factors down:
 //
 //  - every subsumption verdict lands in a persistent SubsumptionIndex
@@ -26,7 +26,13 @@
 //    subsumers (named conjuncts), which are subsumers by construction and
 //    need no test — the search effectively starts below them;
 //  - the transitive-ancestor index is a dynamic bitset per node, giving
-//    O(1) ancestor tests and O(words) set unions on insert.
+//    O(1) ancestor tests and O(words) set unions on insert;
+//  - a bitset marks the nodes whose form is incoherent or lists a
+//    top-level filler. A query that lists a filler can subsume no other
+//    node (structural subsumption compares filler sets), so its
+//    bottom-up search probes only those nodes and is skipped when none
+//    lies below its parents: a point ask such as
+//    (AND PRIM-0 (FILLS r Ind)) no longer walks PRIM-0's subtree.
 //
 // The number of subsumption tests actually computed (memo misses) is
 // reported so benches E2/E3 can measure the pruning.
@@ -88,6 +94,7 @@ class Taxonomy {
         ancestor_sets_(other.ancestor_sets_),
         node_of_concept_(other.node_of_concept_),
         roots_(other.roots_),
+        filler_nodes_(other.filler_nodes_),
         subsume_index_(other.subsume_index_),
         total_insert_tests_(other.total_insert_tests_) {}
 
@@ -215,6 +222,10 @@ class Taxonomy {
   /// is not classified).
   CowVector<NodeId> node_of_concept_;
   std::set<NodeId> roots_;
+  /// Nodes whose form is incoherent or lists a top-level filler: the only
+  /// nodes a query that lists a filler can subsume. Set on insert; copied
+  /// (n/64 words) by the epoch copy.
+  DynamicBitset filler_nodes_;
   /// Persistent (NfId, NfId) -> verdict memo; interned forms are
   /// immutable, so entries never go stale, and the index is internally
   /// synchronized — shared by every epoch copy via shared_ptr.

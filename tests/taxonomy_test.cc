@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "classic/database.h"
 #include "desc/normalize.h"
 #include "desc/parser.h"
 #include "taxonomy/taxonomy.h"
+#include "util/string_util.h"
+#include "workload.h"
 
 namespace classic {
 namespace {
@@ -191,6 +194,36 @@ TEST_F(TaxonomyTest, IncoherentConceptSitsAtBottom) {
   // Bottom is subsumed by every leaf.
   EXPECT_TRUE(tax_.Parents(bot).count(a));
   EXPECT_TRUE(tax_.Parents(bot).count(b));
+}
+
+// A counter bound on a point ask (the paper's claim that inference cost
+// follows concept sizes, not the schema's). A first-time
+// (AND PRIM-0 (FILLS role0 Ind-k)) lists a filler no schema concept
+// lists, so it subsumes no node: its classification computes only the
+// top-down tests below PRIM-0's first layer, and the memo grows by no
+// more, at 256 concepts and at 1024 alike. A search of PRIM-0's subtree
+// computes about one test per node.
+TEST(TaxonomyCounterBoundTest, FirstPointAskComputesFewTests) {
+  for (size_t concepts : {size_t{256}, size_t{1024}}) {
+    Database db;
+    bench::BuildStandardWorkload(&db, concepts, 64);
+    const Taxonomy& tax = db.kb().taxonomy();
+    for (int k : {0, 17, 63}) {
+      const std::string text =
+          StrCat("(AND PRIM-0 (FILLS role0 Ind-", k, "))");
+      auto d = ParseDescriptionString(text, &db.kb().vocab().symbols());
+      ASSERT_TRUE(d.ok()) << text;
+      auto nf = db.kb().normalizer().NormalizeConcept(*d);
+      ASSERT_TRUE(nf.ok()) << text;
+      const size_t memo_before = tax.subsumption_index()->size();
+      const Classification cls = tax.Classify(**nf);
+      const size_t memo_growth =
+          tax.subsumption_index()->size() - memo_before;
+      EXPECT_LT(cls.subsumption_tests, 32u) << concepts << " " << text;
+      EXPECT_LT(memo_growth, 32u) << concepts << " " << text;
+      EXPECT_EQ(cls.parents.size(), 1u) << concepts << " " << text;
+    }
+  }
 }
 
 }  // namespace
