@@ -9,7 +9,8 @@
 # --json over every shipped program — which fails on any erroring form —
 # validated against the golden schema), the planner gates (the
 # (explain ...) golden over the university example, and the selective
-# query-cost guard pinning the index-vs-scan gap at 100k individuals),
+# query-cost guard pinning the selective vs non-selective gap at 100k
+# individuals),
 # the serving gates (a quick loadgen run checked against the
 # BENCH_serving.json baseline, the wire-benchmark smoke test comparing
 # every wire answer with the in-process one, and the server smoke under
@@ -20,7 +21,7 @@
 # (classification against brute force, pruning bounds) under ASan, then
 # a ThreadSanitizer
 # build that runs the parallel suites —
-# including the serving reader-vs-writer race and the index-vs-scan
+# including the serving reader-vs-writer race and the planner-vs-naive
 # equivalence harness.
 # Usage:
 #
@@ -92,10 +93,10 @@ if [[ "$TSAN_ONLY" -eq 0 ]]; then
   echo "== planner: (explain ...) golden output on the university example"
   ./build/tests/explain_golden_test
 
-  echo "== perf: selective-query cost guard (index vs scan at 100k)"
+  echo "== perf: selective-query cost guard (selective vs non-selective at 100k)"
   cmake --build build -j"$JOBS" --target bench_query
   ./build/bench/bench_query \
-      --benchmark_filter='BM_QuerySelective(Indexed|Scan)/100000$' \
+      --benchmark_filter='BM_Query(SelectiveIndexed|NonSelective)/100000$' \
       --benchmark_format=json --benchmark_min_time=0.05 2> /dev/null |
     python3 scripts/check_query_cost.py
 
@@ -165,7 +166,7 @@ echo "== tsan: obs_parallel_test"
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/obs_parallel_test
 echo "== tsan: epoch_persistence_test"
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/epoch_persistence_test
-echo "== tsan: planner_equivalence_test (index vs scan across threads)"
+echo "== tsan: planner_equivalence_test (planner vs naive across threads)"
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/planner_equivalence_test
 echo "== tsan: serve_test (reader clients vs publishing writer)"
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/serve_test

@@ -1,9 +1,8 @@
 // The classification-aware query planner (DESIGN.md section 14).
 //
-// Concept retrieval used to be one hard-coded strategy: classify the
-// query, answer from subsumed concepts' extensions, then test every
-// instance of the parents. The planner turns index-vs-scan into a *plan
-// choice*: it gathers every complete candidate source the query offers —
+// Concept retrieval is the paper's Section 5 technique — classify the
+// query, answer from subsumed concepts' extensions, test the rest —
+// over every complete candidate source the query offers:
 //
 //   - taxonomy:     the instance sets of the query's classified parents
 //                   (classification soundness makes them complete),
@@ -15,16 +14,17 @@
 //                   is a host literal (the same fills index, rendered as
 //                   the point range [v..v]),
 //   - enumeration:  the members of a ONE-OF conjunct (identity is
-//                   definite under the unique-name assumption),
+//                   definite under the unique-name assumption).
 //
-// picks the cheapest base by a cost model (observed set sizes, blended
-// with the live memo-hit rate for the per-candidate test cost),
-// intersects the rest as DynamicBitsets over the frozen
-// visible-individual bound, and only then falls back to per-candidate
-// Satisfies. ALL / AT-LEAST / TEST / SAME-AS conjuncts are *not*
-// complete sources (an individual can satisfy them without any known
-// filler), so they never prune — which is exactly why index-on and
-// index-off answers are byte-identical by construction.
+// There is one access path: the smallest source (the first in that
+// order on a tie; the visible bound when there is none) is the base,
+// each base member is kept only if every other source contains it, and
+// the survivors get the per-candidate Satisfies test. ALL / AT-LEAST /
+// TEST / SAME-AS conjuncts are *not* complete sources (an individual
+// can satisfy them without any known filler), so they never prune. The
+// choice of base changes which non-answers are rejected before the
+// test, never the answers, and it reads only the KB state and the
+// query, so a plan is a deterministic function of both.
 //
 // Every plan is explainable: PlanNode renders to a canonical sexpr with
 // estimated and actual per-node cardinalities, surfaced through
@@ -42,16 +42,6 @@
 #include "query/query.h"
 
 namespace classic::planner {
-
-/// \brief Access-path selection policy. kForceScan reproduces the
-/// pre-planner taxonomy-pruned scan exactly; kForceIndex always prefers
-/// an index-derived base when one exists; kAuto chooses by cost. The
-/// mode is a process-wide atomic (test/bench knob, TSan-safe); answers
-/// are identical under every mode by construction.
-enum class Mode : int { kAuto = 0, kForceIndex = 1, kForceScan = 2 };
-
-void SetMode(Mode m);
-Mode mode();
 
 /// Sentinel for "this node was planned but never executed".
 inline constexpr uint64_t kNotExecuted = ~uint64_t{0};
@@ -82,9 +72,9 @@ PlanNode Node(std::string op, std::vector<std::string> detail = {},
 std::string RenderPlan(const char* kind_name, const PlanNode& root);
 
 /// \brief The planner's concept-level executor: plans one normalized
-/// concept, executes the chosen access path, and returns the answers
-/// (sorted, byte-identical across modes). When `plan` is non-null the
-/// chosen plan tree with actual per-node cardinalities is stored there.
+/// concept, executes the access path, and returns the answers (sorted).
+/// When `plan` is non-null the plan tree with actual per-node
+/// cardinalities is stored there.
 /// Path-query concept atoms retrieve through it too, so they take the
 /// same access paths.
 Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
@@ -124,7 +114,7 @@ Result<std::vector<IndId>> RetrievePossible(const KnowledgeBase& kb,
 
 /// \brief Plan-only variant (no execution; actual cardinalities stay
 /// kNotExecuted below the root): the access path RetrieveConcept would
-/// choose right now. Used to explain entry points that execute through
+/// take on this KB state. Used to explain entry points that execute through
 /// other evaluators (description queries, path-query concept atoms).
 PlanNode PlanConcept(const KnowledgeBase& kb, const NormalForm& nf);
 

@@ -3,11 +3,8 @@
 // cardinalities — are pinned byte-for-byte in
 // examples/explain/university.golden.
 //
-// Every query here has a structurally forced access path (equivalent
-// fast path, taxonomy-only sources, or an index source strictly cheaper
-// than the visible scan for any per-candidate test cost), so the golden
-// is stable across machines and across -DCLASSIC_OBS settings even
-// though kAuto consults live counters for borderline choices.
+// A plan is a function of the KB state and the query alone, so the
+// golden is stable across machines and across -DCLASSIC_OBS settings.
 //
 // To regenerate after an intentional planner change:
 //   build/tests/explain_golden_test --regen

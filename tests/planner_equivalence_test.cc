@@ -1,15 +1,15 @@
-// Differential harness for the planner's core guarantee: answers are
-// byte-identical whether retrieval runs through the filler-inverted
-// indexes or the taxonomy-pruned scan — across every request kind,
-// every batch thread count, and after retraction + republish (including
-// as-of queries against earlier epochs).
+// Differential harness for the planner's core guarantee: every ask
+// answers exactly what RetrieveNaive, the full-scan reference, answers on
+// the epoch the request reads — at every batch thread count, and after
+// retraction + republish (including as-of queries against earlier
+// epochs) — and every request kind gives the same bytes at every thread
+// count.
 //
-// The argument (query/planner.h): index sources are *complete* candidate
-// supersets (derived fillers ⊇ query fillers for FILLS, identity for
-// ONE-OF, classification soundness for taxonomy), so index-vs-scan only
-// changes which non-answers get filtered before the residual Satisfies
-// test. The mode knob is process-wide, so this test serves the same
-// requests under each forced mode and compares canonical bytes.
+// The argument (query/planner.h): every candidate source is complete
+// (derived fillers ⊇ query fillers for FILLS, identity for ONE-OF,
+// classification soundness for taxonomy), so the planner's choice of
+// base only changes which non-answers are rejected before the residual
+// Satisfies test.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@
 
 #include "classic/database.h"
 #include "kb/kb_engine.h"
-#include "query/planner.h"
+#include "query/query.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "workload.h"
@@ -83,26 +83,59 @@ std::vector<QueryRequest> MakeRequests(const bench::SchemaHandles& schema,
   return out;
 }
 
-std::vector<std::string> CanonicalAnswers(
-    KbEngine& engine, const std::vector<QueryRequest>& requests,
-    planner::Mode mode, size_t threads) {
-  planner::SetMode(mode);
-  std::vector<QueryAnswer> answers = engine.QueryBatch(requests, threads);
-  planner::SetMode(planner::Mode::kAuto);
+/// The reference answer values of an ask: RetrieveNaive on `kb`.
+std::vector<std::string> NaiveAsk(const KnowledgeBase& kb,
+                                  const std::string& text) {
   std::vector<std::string> out;
-  out.reserve(answers.size());
-  for (const QueryAnswer& a : answers) out.push_back(a.Canonical());
+  auto q = ParseQueryString(text, &kb.vocab().symbols());
+  EXPECT_TRUE(q.ok()) << text << ": " << q.status().ToString();
+  if (!q.ok()) return out;
+  auto r = RetrieveNaive(kb, *q);
+  EXPECT_TRUE(r.ok()) << text << ": " << r.status().ToString();
+  if (!r.ok()) return out;
+  for (IndId i : r->answers) out.push_back(kb.vocab().IndividualName(i));
   return out;
 }
 
 class PlannerEquivalenceTest : public ::testing::Test {
  protected:
-  void TearDown() override { planner::SetMode(planner::Mode::kAuto); }
-
   void Build(size_t concepts, size_t individuals, uint64_t seed) {
     workload_ = bench::BuildStandardWorkload(&db_, concepts, individuals,
                                              seed);
     engine_.PublishFrom(db_.kb());
+  }
+
+  /// Serves `requests` at 1, 4 and 8 threads. Every ask must equal
+  /// RetrieveNaive on the snapshot the request reads, and every answer
+  /// must match the 1-thread answer byte for byte.
+  void ExpectAgreement(const std::vector<QueryRequest>& requests) {
+    auto where = [&requests](size_t i) {
+      return StrCat("request#", i,
+                    requests[i].as_of_epoch != 0 ? " (as-of)" : "", " [",
+                    requests[i].text, "]");
+    };
+    const std::vector<QueryAnswer> serial = engine_.QueryBatch(requests, 1);
+    ASSERT_EQ(serial.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const QueryRequest& r = requests[i];
+      if (r.kind != QueryRequest::Kind::kAsk) continue;
+      SnapshotPtr snap = r.as_of_epoch != 0
+                             ? engine_.SnapshotAt(r.as_of_epoch)
+                             : engine_.snapshot();
+      ASSERT_NE(snap, nullptr) << where(i);
+      ASSERT_TRUE(serial[i].status.ok())
+          << where(i) << ": " << serial[i].status.ToString();
+      EXPECT_EQ(serial[i].values, NaiveAsk(snap->kb(), r.text)) << where(i);
+    }
+    for (size_t threads : {size_t{4}, size_t{8}}) {
+      const std::vector<QueryAnswer> parallel =
+          engine_.QueryBatch(requests, threads);
+      ASSERT_EQ(parallel.size(), serial.size());
+      for (size_t i = 0; i < parallel.size(); ++i) {
+        EXPECT_EQ(parallel[i].Canonical(), serial[i].Canonical())
+            << "threads=" << threads << " " << where(i);
+      }
+    }
   }
 
   Database db_;
@@ -110,38 +143,16 @@ class PlannerEquivalenceTest : public ::testing::Test {
   bench::StandardWorkload workload_;
 };
 
-TEST_F(PlannerEquivalenceTest, IndexAndScanAgreeAtEveryThreadCount) {
+TEST_F(PlannerEquivalenceTest, AsksEqualNaiveAtEveryThreadCount) {
   Build(/*concepts=*/140, /*individuals=*/200, /*seed=*/42);
-  const std::vector<QueryRequest> requests =
-      MakeRequests(workload_.schema, workload_.individuals, 180, 0xBEEF);
-
-  const std::vector<std::string> scan =
-      CanonicalAnswers(engine_, requests, planner::Mode::kForceScan, 1);
-  for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-    const std::vector<std::string> indexed = CanonicalAnswers(
-        engine_, requests, planner::Mode::kForceIndex, threads);
-    ASSERT_EQ(indexed.size(), scan.size());
-    for (size_t i = 0; i < indexed.size(); ++i) {
-      EXPECT_EQ(indexed[i], scan[i])
-          << "threads=" << threads << " request#" << i << " ["
-          << requests[i].text << "]";
-    }
-  }
+  ExpectAgreement(
+      MakeRequests(workload_.schema, workload_.individuals, 180, 0xBEEF));
 }
 
-TEST_F(PlannerEquivalenceTest, AutoModeMatchesForcedModes) {
+TEST_F(PlannerEquivalenceTest, AsksEqualNaiveOnASecondWorkload) {
   Build(/*concepts=*/100, /*individuals=*/150, /*seed=*/7);
-  const std::vector<QueryRequest> requests =
-      MakeRequests(workload_.schema, workload_.individuals, 120, 0xF00D);
-
-  const std::vector<std::string> scan =
-      CanonicalAnswers(engine_, requests, planner::Mode::kForceScan, 4);
-  const std::vector<std::string> autod =
-      CanonicalAnswers(engine_, requests, planner::Mode::kAuto, 4);
-  ASSERT_EQ(autod.size(), scan.size());
-  for (size_t i = 0; i < autod.size(); ++i) {
-    EXPECT_EQ(autod[i], scan[i]) << "request#" << i;
-  }
+  ExpectAgreement(
+      MakeRequests(workload_.schema, workload_.individuals, 120, 0xF00D));
 }
 
 TEST_F(PlannerEquivalenceTest, AgreementSurvivesRetractionAndAsOf) {
@@ -181,16 +192,7 @@ TEST_F(PlannerEquivalenceTest, AgreementSurvivesRetractionAndAsOf) {
     requests[i].as_of_epoch = epoch1;
   }
 
-  const std::vector<std::string> scan =
-      CanonicalAnswers(engine_, requests, planner::Mode::kForceScan, 1);
-  const std::vector<std::string> indexed =
-      CanonicalAnswers(engine_, requests, planner::Mode::kForceIndex, 4);
-  ASSERT_EQ(indexed.size(), scan.size());
-  for (size_t i = 0; i < indexed.size(); ++i) {
-    EXPECT_EQ(indexed[i], scan[i])
-        << "request#" << i << (i % 2 == 0 ? " (as-of)" : "") << " ["
-        << requests[i].text << "]";
-  }
+  ExpectAgreement(requests);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // The index contract (kb/fills_index.h): postings track exactly the
 // *derived* filler relation across assertion, rollback and retraction,
 // and every published epoch sees an immutable copy. The planner contract
-// (query/planner.h): answers are byte-identical under every access-path
-// mode; only the plan (and the work counters) may differ.
+// (query/planner.h): one access path, whose plan is a function of the KB
+// state and the query alone, and whose residual tests never exceed the
+// smallest complete source.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +15,9 @@
 #include "classic/database.h"
 #include "kb/fills_index.h"
 #include "kb/kb_engine.h"
-#include "query/planner.h"
+#include "query/query.h"
 #include "util/string_util.h"
+#include "workload.h"
 
 namespace classic {
 namespace {
@@ -30,7 +32,6 @@ class PlannerTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    planner::SetMode(planner::Mode::kAuto);
     Must(db_.DefineRole("enrolled-at"));
     Must(db_.DefineRole("age"));
     Must(db_.DefineConcept("PERSON", "(PRIMITIVE CLASSIC-THING person)"));
@@ -41,8 +42,6 @@ class PlannerTest : public ::testing::Test {
       Must(db_.CreateIndividual(StrCat("P", i), "PERSON"));
     }
   }
-
-  void TearDown() override { planner::SetMode(planner::Mode::kAuto); }
 
   RoleId Role(const std::string& name) {
     Symbol s = db_.kb().vocab().symbols().Lookup(name);
@@ -125,32 +124,125 @@ TEST_F(PlannerTest, PublishedEpochsSeeImmutableIndex) {
   EXPECT_EQ(new_postings->size(), 2u);
 }
 
-TEST_F(PlannerTest, ForcedModesAgreeAndPlansDiffer) {
+TEST_F(PlannerTest, PlanPinnedForEachBaseKind) {
   Must(db_.AssertInd("P0", "(FILLS enrolled-at MIT)"));
   Must(db_.AssertInd("P1", "(FILLS enrolled-at MIT)"));
+  Must(db_.AssertInd("P3", "(FILLS enrolled-at MIT)"));
   Must(db_.AssertInd("P2", "(FILLS enrolled-at Oberlin)"));
-  const QueryRequest plain =
-      QueryRequest::Ask("(AND PERSON (FILLS enrolled-at MIT))");
+  struct Case {
+    const char* query;
+    const char* plan;
+    std::vector<std::string> answers;
+  };
+  // The smallest source is the base (the first in gather order on a
+  // tie) and the other sources follow it in gather order: parents,
+  // postings, enumeration. With no source the visible bound is scanned.
+  const Case cases[] = {
+      // A posting base, filtered by the parent.
+      {"(AND PERSON (FILLS enrolled-at MIT))",
+       "(plan ask (concept est=3 act=3 (satisfies-filter est=1 act=3 "
+       "(intersect est=3 act=3 (fills-postings enrolled-at MIT est=3) "
+       "(taxonomy-instances PERSON est=8)))))",
+       {"P0", "P1", "P3"}},
+      // A parent base, filtered by the posting: both schools are rejected
+      // before the residual test.
+      {"(AND SCHOOL (FILLS enrolled-at MIT))",
+       "(plan ask (concept est=3 act=0 (satisfies-filter est=1 act=0 "
+       "(intersect est=2 act=0 (taxonomy-instances SCHOOL est=2) "
+       "(fills-postings enrolled-at MIT est=3)))))",
+       {}},
+      // An enumeration base, filtered by the parent: MIT is rejected.
+      {"(AND PERSON (ONE-OF P0 P5 MIT))",
+       "(plan ask (concept est=0 act=2 (satisfies-filter est=0 act=2 "
+       "(intersect est=3 act=2 (enumeration est=3) "
+       "(taxonomy-instances PERSON est=8)))))",
+       {"P0", "P5"}},
+      // No complete source: every visible individual is tested.
+      {"(AT-LEAST 1 enrolled-at)",
+       "(plan ask (concept est=5 act=4 (satisfies-filter est=5 act=4 "
+       "(full-scan est=10 act=10))))",
+       {"P0", "P1", "P2", "P3"}},
+  };
+  for (const Case& c : cases) {
+    QueryAnswer a =
+        KbEngine::ServeQuery(db_.kb(), QueryRequest::Ask(c.query).Explain());
+    ASSERT_TRUE(a.status.ok()) << c.query << ": " << a.status.ToString();
+    ASSERT_FALSE(a.values.empty()) << c.query;
+    EXPECT_EQ(a.values[0], c.plan) << c.query;
+    EXPECT_EQ(std::vector<std::string>(a.values.begin() + 1, a.values.end()),
+              c.answers)
+        << c.query;
+  }
+}
+
+// A plan reads only the KB state and the query: serving other queries in
+// between (which moves every process-wide counter, the subsumption memo's
+// hit rate included) must not change it.
+TEST(PlannerDeterminismTest, PlanDoesNotDependOnServedHistory) {
+  Database db;
+  ASSERT_TRUE(db.DefineRole("enrolled-at").ok());
+  ASSERT_TRUE(
+      db.DefineConcept("PERSON", "(PRIMITIVE CLASSIC-THING person)").ok());
+  ASSERT_TRUE(db.CreateIndividual("MIT").ok());
+  ASSERT_TRUE(db.CreateIndividual("P0", "PERSON").ok());
+  ASSERT_TRUE(db.CreateIndividual("P1", "PERSON").ok());
+  ASSERT_TRUE(db.AssertInd("P0", "(FILLS enrolled-at MIT)").ok());
   const QueryRequest explained =
       QueryRequest::Ask("(AND PERSON (FILLS enrolled-at MIT))").Explain();
 
-  planner::SetMode(planner::Mode::kForceIndex);
-  QueryAnswer index_ans = KbEngine::ServeQuery(db_.kb(), plain);
-  QueryAnswer index_exp = KbEngine::ServeQuery(db_.kb(), explained);
-  planner::SetMode(planner::Mode::kForceScan);
-  QueryAnswer scan_ans = KbEngine::ServeQuery(db_.kb(), plain);
-  QueryAnswer scan_exp = KbEngine::ServeQuery(db_.kb(), explained);
-  planner::SetMode(planner::Mode::kAuto);
+  const QueryAnswer before = KbEngine::ServeQuery(db.kb(), explained);
+  const QueryRequest other =
+      QueryRequest::Ask("(AND PERSON (AT-LEAST 1 enrolled-at))");
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(KbEngine::ServeQuery(db.kb(), other).status.ok());
+  }
+  const QueryAnswer after = KbEngine::ServeQuery(db.kb(), explained);
 
-  // Identical answers, different access paths.
-  EXPECT_EQ(index_ans.Canonical(), scan_ans.Canonical());
-  ASSERT_EQ(index_ans.values, std::vector<std::string>({"P0", "P1"}));
-  ASSERT_FALSE(index_exp.values.empty());
-  ASSERT_FALSE(scan_exp.values.empty());
-  EXPECT_NE(index_exp.values[0].find("fills-postings"), std::string::npos)
-      << index_exp.values[0];
-  EXPECT_EQ(scan_exp.values[0].find("fills-postings"), std::string::npos)
-      << scan_exp.values[0];
+  ASSERT_TRUE(before.status.ok()) << before.status.ToString();
+  ASSERT_TRUE(after.status.ok()) << after.status.ToString();
+  ASSERT_FALSE(before.values.empty());
+  EXPECT_EQ(after.values, before.values);
+  EXPECT_EQ(before.values[0],
+            "(plan ask (concept est=1 act=1 (satisfies-filter est=0 act=1 "
+            "(intersect est=1 act=1 (fills-postings enrolled-at MIT est=1) "
+            "(taxonomy-instances PERSON est=2)))))");
+}
+
+// The paper's predictability claim for a selective ask, on counters that
+// do not depend on CLASSIC_OBS: however many individuals the KB holds,
+// (AND PRIM-1 (FILLS role0 Ind-k)) tests no more candidates than the
+// posting list of (role0, Ind-k) holds.
+TEST(PlannerCounterBoundTest, SelectiveAskTestsAtMostItsPosting) {
+  for (size_t individuals : {size_t{1000}, size_t{4000}}) {
+    Database db;
+    bench::BuildStandardWorkload(&db, /*num_concepts=*/120, individuals);
+    const KnowledgeBase& kb = db.kb();
+    const RoleId role0 =
+        *kb.vocab().FindRole(kb.vocab().symbols().Lookup("role0"));
+    const NodeId prim1 = *kb.taxonomy().NodeOf(
+        *kb.vocab().FindConcept(kb.vocab().symbols().Lookup("PRIM-1")));
+    size_t below_extension = 0;
+    for (size_t k : {size_t{0}, size_t{1}, individuals / 2}) {
+      const std::string name = StrCat("Ind-", k);
+      const std::string text =
+          StrCat("(AND PRIM-1 (FILLS role0 ", name, "))");
+      auto q = ParseQueryString(text, &kb.vocab().symbols());
+      ASSERT_TRUE(q.ok()) << text;
+      auto r = Retrieve(kb, *q);
+      ASSERT_TRUE(r.ok()) << text;
+      const auto* postings =
+          kb.fills_index().Postings(role0, *db.FindIndividual(name));
+      const size_t posting_size = postings != nullptr ? postings->size() : 0;
+      EXPECT_LE(r->stats.candidates_tested, posting_size)
+          << individuals << " individuals: " << text;
+      if (posting_size > 0 && posting_size < kb.Instances(prim1).Count()) {
+        ++below_extension;
+      }
+    }
+    // The bound says something only where the parent's extension is
+    // larger than the posting.
+    EXPECT_GT(below_extension, 0u) << individuals;
+  }
 }
 
 TEST_F(PlannerTest, ExplainPrependsPlanWithoutChangingAnswers) {

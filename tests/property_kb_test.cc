@@ -8,10 +8,9 @@
 //   - agreement: classified retrieval equals the naive scan on random
 //     queries;
 //   - consistency: the answer set and the possible set never overlap;
-//   - possible set: engine ask-possible equals a reference scan under
-//     every planner mode, on the master and on a published snapshot, over
-//     a generator with disjoint primitives, SAME-AS, ALL-only assertions
-//     and host literals;
+//   - possible set: engine ask-possible equals a reference scan, on the
+//     master and on a published snapshot, over a generator with disjoint
+//     primitives, SAME-AS, ALL-only assertions and host literals;
 //   - persistence: snapshot + reload reproduces every extension;
 //   - retraction: retract + reassert returns to the same state.
 
@@ -24,7 +23,6 @@
 #include "desc/parser.h"
 #include "index_check.h"
 #include "kb/kb_engine.h"
-#include "query/planner.h"
 #include "query/query.h"
 #include "storage/snapshot.h"
 #include "subsume/subsume.h"
@@ -295,23 +293,16 @@ std::vector<std::string> NaivePossible(const KnowledgeBase& kb,
   return out;
 }
 
-/// Engine ask-possible against NaivePossible on `kb`, for every query
-/// and under every planner mode.
+/// Engine ask-possible against NaivePossible on `kb`, for every query.
 void ExpectPossibleEqualsNaive(const KnowledgeBase& kb,
                                const std::vector<std::string>& queries,
                                const std::string& where) {
-  for (planner::Mode mode : {planner::Mode::kAuto, planner::Mode::kForceIndex,
-                             planner::Mode::kForceScan}) {
-    planner::SetMode(mode);
-    for (const std::string& text : queries) {
-      QueryAnswer a = KbEngine::ServeQuery(kb, QueryRequest::AskPossible(text));
-      ASSERT_TRUE(a.status.ok()) << text << ": " << a.status.ToString();
-      EXPECT_EQ(a.values, NaivePossible(kb, text))
-          << text << " on the " << where << " (planner mode "
-          << static_cast<int>(mode) << ")";
-    }
+  for (const std::string& text : queries) {
+    QueryAnswer a = KbEngine::ServeQuery(kb, QueryRequest::AskPossible(text));
+    ASSERT_TRUE(a.status.ok()) << text << ": " << a.status.ToString();
+    EXPECT_EQ(a.values, NaivePossible(kb, text))
+        << text << " on the " << where;
   }
-  planner::SetMode(planner::Mode::kAuto);
 }
 
 TEST_P(KbPropertyTest, PossibleEqualsNaive) {
