@@ -46,8 +46,8 @@
 // way; every other read is served from the live database.
 //
 // (explain <form>) prints the query planner's plan tree above the
-// answer: the access path chosen (taxonomy scan vs. index intersection),
-// with estimated and actual per-node cardinalities (query/planner.h).
+// answer: the candidate sources, the streamed base first, with
+// estimated and actual per-node cardinalities (query/planner.h).
 
 #pragma once
 

@@ -106,18 +106,17 @@ enum class Counter : uint32_t {
   /// Watermark (not a sum): the largest single wavefront ever drained.
   /// Maintained by CounterMaxTo directly on the global total.
   kPropagationMaxWavefront,
-  /// Concept retrievals the planner answered through an index-derived
-  /// candidate set (FILLS postings / enumerations, including the
-  /// equivalent-concept extension fast path).
+  /// Concept retrievals whose streamed base is a FILLS posting or a
+  /// ONE-OF enumeration, plus those answered by the equivalent-concept
+  /// extension fast path.
   kPlannerIndexPath,
-  /// Concept retrievals the planner answered by the taxonomy-pruned
-  /// candidate scan (the paper's Section 5 technique).
+  /// Concept retrievals whose streamed base is a parent's extension or
+  /// the full visible scan (the paper's Section 5 technique).
   kPlannerScanPath,
-  /// Posting-list entries materialized into candidate bitsets by
-  /// index-path retrievals (the index-side I/O of the cost model).
+  /// Members of the streamed base summed over index-path retrievals.
   kPlannerPostingsScanned,
-  /// Candidates the index intersection eliminated before the
-  /// per-candidate Satisfies test (work the scan path would have done).
+  /// Base members another complete source rejected before the
+  /// per-candidate Satisfies test.
   kPlannerCandidatesPruned,
   /// ask-possible exclusion tests: one per DisjointFrom call, i.e. per
   /// undecided individual on the query's exclusion surface.
