@@ -128,8 +128,9 @@ if [[ "$TSAN_ONLY" -eq 0 ]]; then
     ./build-asan/tests/"$t"
   done
 
-  echo "== obs: -DCLASSIC_OBS=OFF build (instrumentation compiles out)"
-  cmake -B build-noobs -S . -DCLASSIC_OBS=OFF > /dev/null
+  echo "== obs: -DCLASSIC_OBS=OFF build (instrumentation compiles out, no dead helpers)"
+  cmake -B build-noobs -S . -DCLASSIC_OBS=OFF \
+    -DCMAKE_CXX_FLAGS=-Werror=unused-function > /dev/null
   cmake --build build-noobs -j"$JOBS" --target \
     classic_stats obs_test obs_parallel_test obs_stats_test
   ./build-noobs/tests/obs_test

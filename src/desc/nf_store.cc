@@ -65,7 +65,7 @@ NormalFormPtr NormalFormStore::InternLocked(NormalForm nf) {
   }
   CLASSIC_OBS_COUNT(kInternMisses);
   NfId id = static_cast<NfId>(forms_.size());
-  nf.nf_id_ = id;
+  nf.nf_id_.id = id;
   auto ptr = std::make_shared<const NormalForm>(std::move(nf));
   forms_.push_back(ptr);
   bucket.push_back(id);

@@ -14,30 +14,6 @@ const RoleRestriction& TrivialRole() {
 }
 }  // namespace
 
-NormalForm::NormalForm(const NormalForm& other)
-    : incoherent_(other.incoherent_),
-      incoherence_kind_(other.incoherence_kind_),
-      incoherence_reason_(other.incoherence_reason_),
-      atoms_(other.atoms_),
-      enumeration_(other.enumeration_),
-      roles_(other.roles_),
-      tests_(other.tests_),
-      coref_(other.coref_) {}
-
-NormalForm& NormalForm::operator=(const NormalForm& other) {
-  if (this == &other) return *this;
-  nf_id_ = kNoNfId;
-  incoherent_ = other.incoherent_;
-  incoherence_kind_ = other.incoherence_kind_;
-  incoherence_reason_ = other.incoherence_reason_;
-  atoms_ = other.atoms_;
-  enumeration_ = other.enumeration_;
-  roles_ = other.roles_;
-  tests_ = other.tests_;
-  coref_ = other.coref_;
-  return *this;
-}
-
 bool RoleRestriction::IsTrivial() const {
   return at_least == 0 && at_most == kUnbounded &&
          (value_restriction == nullptr || value_restriction->IsThing()) &&
@@ -57,20 +33,33 @@ bool RoleRestriction::operator==(const RoleRestriction& other) const {
   return value_restriction->Equals(*other.value_restriction);
 }
 
+const std::string& NormalForm::incoherence_reason() const {
+  static const std::string kNone;
+  return incoherence_reason_ ? *incoherence_reason_ : kNone;
+}
+
+const CorefGraph& NormalForm::coref() const {
+  static const CorefGraph kEmpty;
+  return coref_ ? *coref_ : kEmpty;
+}
+
+const RoleRestriction* NormalForm::FindRole(RoleId role) const {
+  auto it = LowerBoundById(roles_, role);
+  return it != roles_.end() && it->first == role ? &it->second : nullptr;
+}
+
 const RoleRestriction& NormalForm::role(RoleId role) const {
-  auto it = roles_.find(role);
-  if (it == roles_.end()) return TrivialRole();
-  return it->second;
+  const RoleRestriction* rr = FindRole(role);
+  return rr != nullptr ? *rr : TrivialRole();
 }
 
 bool NormalForm::IsThing() const {
-  return !incoherent_ && atoms_.empty() && !enumeration_.has_value() &&
-         roles_.empty() && tests_.empty() && coref_.empty();
+  return !incoherent_ && atoms_.empty() && !has_enumeration_ &&
+         roles_.empty() && tests_.empty() && coref().empty();
 }
 
 size_t NormalForm::Size() const {
-  size_t n = 1 + atoms_.size() + tests_.size();
-  if (enumeration_) n += enumeration_->size();
+  size_t n = 1 + atoms_.size() + tests_.size() + enumeration_.size();
   for (const auto& [role, rr] : roles_) {
     (void)role;
     n += 1 + rr.fillers.size();
@@ -79,16 +68,17 @@ size_t NormalForm::Size() const {
     if (rr.closed) ++n;
     if (rr.value_restriction) n += rr.value_restriction->Size();
   }
-  for (const auto& [p, q] : coref_.pairs()) n += p.size() + q.size();
+  for (const auto& [p, q] : coref().pairs()) n += p.size() + q.size();
   return n;
 }
 
 bool NormalForm::Equals(const NormalForm& other) const {
   if (incoherent_ != other.incoherent_) return false;
   if (incoherent_) return true;  // all incoherent forms denote bottom
-  return atoms_ == other.atoms_ && enumeration_ == other.enumeration_ &&
-         tests_ == other.tests_ && roles_ == other.roles_ &&
-         coref_.EquivalentTo(other.coref_);
+  return atoms_ == other.atoms_ &&
+         has_enumeration_ == other.has_enumeration_ &&
+         enumeration_ == other.enumeration_ && tests_ == other.tests_ &&
+         roles_ == other.roles_ && coref().EquivalentTo(other.coref());
 }
 
 size_t NormalForm::Hash() const {
@@ -97,8 +87,8 @@ size_t NormalForm::Hash() const {
   auto mix = [&h](size_t v) { h = (h ^ v) * 1099511628211ULL; };
   for (AtomId a : atoms_) mix(a + 1);
   mix(0xA);
-  if (enumeration_) {
-    for (IndId i : *enumeration_) mix(i + 1);
+  if (has_enumeration_) {
+    for (IndId i : enumeration_) mix(i + 1);
     mix(0xE);
   }
   for (const auto& [role, rr] : roles_) {
@@ -112,7 +102,7 @@ size_t NormalForm::Hash() const {
     }
   }
   for (Symbol t : tests_) mix(t + 1);
-  mix(coref_.Hash());
+  mix(coref().Hash());
   return h;
 }
 
@@ -124,7 +114,7 @@ void NormalForm::MarkIncoherent(IncoherenceKind kind, std::string reason) {
   if (incoherent_) return;
   incoherent_ = true;
   incoherence_kind_ = kind;
-  incoherence_reason_ = std::move(reason);
+  incoherence_reason_ = std::make_shared<const std::string>(std::move(reason));
 }
 
 void NormalForm::AddAtom(AtomId atom, const Vocabulary& vocab) {
@@ -145,27 +135,39 @@ void NormalForm::AddAtom(AtomId atom, const Vocabulary& vocab) {
   for (AtomId implied : vocab.atom(atom).implies) insert_one(implied);
 }
 
-void NormalForm::IntersectEnumeration(const std::set<IndId>& members) {
-  if (!enumeration_) {
+void NormalForm::IntersectEnumeration(const IdSet<IndId>& members) {
+  if (!has_enumeration_) {
+    has_enumeration_ = true;
     enumeration_ = members;
     return;
   }
-  std::set<IndId> out;
-  std::set_intersection(enumeration_->begin(), enumeration_->end(),
-                        members.begin(), members.end(),
-                        std::inserter(out, out.begin()));
-  *enumeration_ = std::move(out);
+  enumeration_.erase_if([&](IndId i) { return members.count(i) == 0; });
 }
 
 RoleRestriction* NormalForm::MutableRole(RoleId role, const Vocabulary& vocab) {
-  auto [it, inserted] = roles_.try_emplace(role);
-  if (inserted && vocab.role(role).attribute) {
-    it->second.at_most = 1;
+  auto it = LowerBoundById(roles_, role);
+  if (it != roles_.end() && it->first == role) return &it->second;
+  // Grow by exactly one: a stored form keeps no spare 64-byte records.
+  if (roles_.size() == roles_.capacity()) {
+    const size_t at = static_cast<size_t>(it - roles_.begin());
+    roles_.reserve(roles_.size() + 1);
+    it = roles_.begin() + static_cast<std::ptrdiff_t>(at);
   }
+  it = roles_.emplace(it, role, RoleRestriction{});
+  if (vocab.role(role).attribute) it->second.at_most = 1;
   return &it->second;
 }
 
 void NormalForm::AddTest(Symbol fn) { tests_.insert(fn); }
+
+CorefGraph* NormalForm::mutable_coref() {
+  if (!coref_) {
+    coref_ = std::make_shared<CorefGraph>();
+  } else if (coref_.use_count() > 1) {
+    coref_ = std::make_shared<CorefGraph>(*coref_);
+  }
+  return coref_.get();
+}
 
 void NormalForm::Tighten(const Vocabulary& vocab) {
   // Each pass only moves monotonically (bounds tighten, sets grow/shrink
@@ -178,22 +180,16 @@ void NormalForm::Tighten(const Vocabulary& vocab) {
     // Drop records that constrain nothing, for canonicality. For
     // attributes, the implicit AT-MOST 1 clamp alone is not a constraint
     // (every attribute is single-valued by declaration).
-    for (auto it = roles_.begin(); it != roles_.end();) {
-      const RoleRestriction& rr = it->second;
-      bool trivial = rr.IsTrivial();
-      if (!trivial && vocab.role(it->first).attribute) {
-        trivial = rr.at_least == 0 && rr.at_most == 1 && !rr.closed &&
-                  rr.fillers.empty() &&
-                  (rr.value_restriction == nullptr ||
-                   rr.value_restriction->IsThing());
-      }
-      if (trivial) {
-        it = roles_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(roles_, [&vocab](const auto& record) {
+      const RoleRestriction& rr = record.second;
+      if (rr.IsTrivial()) return true;
+      return vocab.role(record.first).attribute && rr.at_least == 0 &&
+             rr.at_most == 1 && !rr.closed && rr.fillers.empty() &&
+             (rr.value_restriction == nullptr ||
+              rr.value_restriction->IsThing());
+    });
   }
+  if (coref_ && coref_->empty()) coref_.reset();
 }
 
 bool NormalForm::TightenOnce(const Vocabulary& vocab) {
@@ -202,21 +198,14 @@ bool NormalForm::TightenOnce(const Vocabulary& vocab) {
 
   // An enumeration implies every atom shared intrinsically by all its
   // members: (ONE-OF 1 2) is an INTEGER (hence NUMBER, HOST-THING).
-  if (enumeration_ && !enumeration_->empty()) {
-    std::set<AtomId> shared;
-    bool first = true;
-    for (IndId i : *enumeration_) {
-      std::vector<AtomId> intr = vocab.IntrinsicAtoms(i);
-      std::set<AtomId> s(intr.begin(), intr.end());
-      if (first) {
-        shared = std::move(s);
-        first = false;
-      } else {
-        std::set<AtomId> keep;
-        std::set_intersection(shared.begin(), shared.end(), s.begin(),
-                              s.end(), std::inserter(keep, keep.begin()));
-        shared = std::move(keep);
-      }
+  if (has_enumeration_ && !enumeration_.empty()) {
+    const std::vector<AtomId> first = vocab.IntrinsicAtoms(enumeration_[0]);
+    IdSet<AtomId> shared(first.begin(), first.end());
+    for (IndId i : enumeration_) {
+      const std::vector<AtomId> intr = vocab.IntrinsicAtoms(i);
+      shared.erase_if([&intr](AtomId a) {
+        return std::find(intr.begin(), intr.end(), a) == intr.end();
+      });
     }
     for (AtomId a : shared) {
       if (atoms_.count(a) == 0) {
@@ -228,23 +217,15 @@ bool NormalForm::TightenOnce(const Vocabulary& vocab) {
   }
 
   // Enumeration members must be intrinsically compatible with every atom.
-  if (enumeration_) {
-    for (auto it = enumeration_->begin(); it != enumeration_->end();) {
-      bool ok = true;
-      for (AtomId a : atoms_) {
-        if (!vocab.AtomCompatibleWithInd(a, *it)) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) {
-        it = enumeration_->erase(it);
-        changed = true;
-      } else {
-        ++it;
-      }
+  if (has_enumeration_) {
+    if (enumeration_.erase_if([&](IndId i) {
+          return std::any_of(atoms_.begin(), atoms_.end(), [&](AtomId a) {
+            return !vocab.AtomCompatibleWithInd(a, i);
+          });
+        }) > 0) {
+      changed = true;
     }
-    if (enumeration_->empty()) {
+    if (enumeration_.empty()) {
       MarkIncoherent(IncoherenceKind::kEmptyEnumeration,
                      "enumeration is empty");
       return true;
@@ -334,10 +315,10 @@ bool NormalForm::TightenOnce(const Vocabulary& vocab) {
   // Co-referent length-1 paths denote the same individual, so their role
   // records must agree: merge them (this yields the paper's deduction that
   // (SAME-AS (likes) (thing-driven)) fills likes with Volvo-17).
-  if (!coref_.empty()) {
+  if (coref_ && !coref_->empty()) {
     // Any role heading a co-reference path is single-valued here: the
     // constraint speaks of "the" filler.
-    for (const auto& [p, q] : coref_.pairs()) {
+    for (const auto& [p, q] : coref_->pairs()) {
       for (RoleId head : {p[0], q[0]}) {
         RoleRestriction* rr = MutableRole(head, vocab);
         if (rr->at_most > 1) {
@@ -346,7 +327,7 @@ bool NormalForm::TightenOnce(const Vocabulary& vocab) {
         }
       }
     }
-    for (const auto& cls : coref_.CanonicalClasses()) {
+    for (const auto& cls : coref_->CanonicalClasses()) {
       std::vector<RoleId> single;
       for (const auto& path : cls) {
         if (path.size() == 1) single.push_back(path[0]);
@@ -357,10 +338,10 @@ bool NormalForm::TightenOnce(const Vocabulary& vocab) {
       merged.at_most = kUnbounded;
       bool any = false;
       for (RoleId r : single) {
-        auto it = roles_.find(r);
-        if (it == roles_.end()) continue;
+        const RoleRestriction* found = FindRole(r);
+        if (found == nullptr) continue;
         any = true;
-        const RoleRestriction& rr = it->second;
+        const RoleRestriction& rr = *found;
         merged.at_least = std::max(merged.at_least, rr.at_least);
         merged.at_most = std::min(merged.at_most, rr.at_most);
         merged.closed = merged.closed || rr.closed;
@@ -447,7 +428,7 @@ void MergeNormalFormInto(NormalForm* dst, const NormalForm& src,
     }
   }
   for (Symbol t : src.tests()) dst->AddTest(t);
-  dst->mutable_coref()->MergeFrom(src.coref());
+  if (!src.coref().empty()) dst->mutable_coref()->MergeFrom(src.coref());
 }
 
 NormalFormPtr MeetNormalForms(const NormalForm& a, const NormalForm& b,
@@ -477,7 +458,7 @@ NormalFormPtr JoinNormalForms(const NormalForm& a, const NormalForm& b,
   }
 
   if (a.enumeration() && b.enumeration()) {
-    std::set<IndId> both = *a.enumeration();
+    IdSet<IndId> both = *a.enumeration();
     both.insert(b.enumeration()->begin(), b.enumeration()->end());
     out->IntersectEnumeration(both);
   }
@@ -486,15 +467,9 @@ NormalFormPtr JoinNormalForms(const NormalForm& a, const NormalForm& b,
     if (b.tests().count(t) > 0) out->AddTest(t);
   }
 
-  std::set<RoleId> roles;
-  for (const auto& [r, rr] : a.roles()) {
-    (void)rr;
-    roles.insert(r);
-  }
-  for (const auto& [r, rr] : b.roles()) {
-    (void)rr;
-    roles.insert(r);
-  }
+  IdSet<RoleId> roles;
+  for (const auto& record : a.roles()) roles.insert(record.first);
+  for (const auto& record : b.roles()) roles.insert(record.first);
   for (RoleId r : roles) {
     const RoleRestriction& ra = a.role(r);
     const RoleRestriction& rb = b.role(r);
@@ -571,21 +546,18 @@ DescPtr NormalForm::ToDescription(const Vocabulary& vocab) const {
 
   // Emit only non-implied atoms; implications re-derive the rest.
   for (AtomId a : atoms_) {
-    bool implied = false;
-    for (AtomId b : atoms_) {
-      if (b == a) continue;
+    auto implies_a = [&](AtomId b) {
       const auto& imp = vocab.atom(b).implies;
-      if (std::find(imp.begin(), imp.end(), a) != imp.end()) {
-        implied = true;
-        break;
-      }
+      return b != a && std::find(imp.begin(), imp.end(), a) != imp.end();
+    };
+    if (std::none_of(atoms_.begin(), atoms_.end(), implies_a)) {
+      parts.push_back(AtomToDescription(vocab, a));
     }
-    if (!implied) parts.push_back(AtomToDescription(vocab, a));
   }
 
-  if (enumeration_) {
+  if (has_enumeration_) {
     std::vector<IndRef> members;
-    for (IndId i : *enumeration_) members.push_back(IndRefOf(vocab, i));
+    for (IndId i : enumeration_) members.push_back(IndRefOf(vocab, i));
     parts.push_back(Description::OneOf(std::move(members)));
   }
 
@@ -614,7 +586,7 @@ DescPtr NormalForm::ToDescription(const Vocabulary& vocab) const {
 
   for (Symbol t : tests_) parts.push_back(Description::Test(t));
 
-  for (const auto& cls : coref_.CanonicalClasses()) {
+  for (const auto& cls : coref().CanonicalClasses()) {
     auto to_syms = [&](const RolePath& p) {
       std::vector<Symbol> out;
       for (RoleId r : p) out.push_back(vocab.role(r).name);

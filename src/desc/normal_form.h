@@ -14,19 +14,25 @@
 //
 // Individuals' derived state uses the same representation, which is what
 // lets one language serve as DDL, DML, query and answer language.
+//
+// The layout is flat: every set is a sorted id vector (util/id_set.h) and
+// the role records are one vector sorted by RoleId, so subsumption and
+// instance tests are merge walks and binary searches over contiguous
+// memory. The co-reference graph and the incoherence reason, which most
+// forms lack, live out of line and are absent when empty.
 
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <memory>
-#include <optional>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "desc/coref.h"
 #include "desc/ids.h"
 #include "desc/vocabulary.h"
+#include "util/id_set.h"
 #include "util/intern.h"
 
 namespace classic {
@@ -37,7 +43,7 @@ using NormalFormPtr = std::shared_ptr<const NormalForm>;
 /// \brief Why a normal form collapsed to the bottom concept. The static
 /// analyzer keys on this (rule selection and machine-readable output);
 /// the free-text incoherence reason stays the human-facing message.
-enum class IncoherenceKind {
+enum class IncoherenceKind : uint8_t {
   /// Not incoherent.
   kNone,
   /// The literal NOTHING concept.
@@ -73,7 +79,7 @@ struct RoleRestriction {
   /// Value restriction (ALL); null means THING (no restriction).
   NormalFormPtr value_restriction;
   /// Known fillers (FILLS). Distinct under the unique-name assumption.
-  std::set<IndId> fillers;
+  IdSet<IndId> fillers;
   /// True when the filler set is complete (CLOSE, or deduced when
   /// |fillers| reaches at_most).
   bool closed = false;
@@ -89,33 +95,32 @@ struct RoleRestriction {
 /// the Builder-style mutating interface, then freeze behind NormalFormPtr).
 class NormalForm {
  public:
-  NormalForm() = default;
+  /// The role records, ascending by RoleId, at most one per role.
+  using RoleRecords = std::vector<std::pair<RoleId, RoleRestriction>>;
 
-  /// Copies reset the interned id: a copy is mutable again and no longer
-  /// the store's canonical object, so it must not claim the identity
-  /// (memoized subsumption keys on NfId pairs).
-  NormalForm(const NormalForm& other);
-  NormalForm& operator=(const NormalForm& other);
-  NormalForm(NormalForm&&) = default;
-  NormalForm& operator=(NormalForm&&) = default;
+  NormalForm() = default;
 
   // --- Read interface ----------------------------------------------------
 
   bool incoherent() const { return incoherent_; }
-  const std::string& incoherence_reason() const { return incoherence_reason_; }
+  /// Empty while coherent.
+  const std::string& incoherence_reason() const;
   /// Structured cause of incoherence (kNone while coherent).
   IncoherenceKind incoherence_kind() const { return incoherence_kind_; }
 
-  const std::set<AtomId>& atoms() const { return atoms_; }
-  const std::optional<std::set<IndId>>& enumeration() const {
-    return enumeration_;
+  const IdSet<AtomId>& atoms() const { return atoms_; }
+  /// The ONE-OF members; null when the form enumerates nothing.
+  const IdSet<IndId>* enumeration() const {
+    return has_enumeration_ ? &enumeration_ : nullptr;
   }
-  const std::map<RoleId, RoleRestriction>& roles() const { return roles_; }
-  const std::set<Symbol>& tests() const { return tests_; }
-  const CorefGraph& coref() const { return coref_; }
+  const RoleRecords& roles() const { return roles_; }
+  const IdSet<Symbol>& tests() const { return tests_; }
+  const CorefGraph& coref() const;
 
   /// \brief Restriction record for `role` (a trivial record if absent).
   const RoleRestriction& role(RoleId role) const;
+  /// \brief The record for `role`, or null if the form has none.
+  const RoleRestriction* FindRole(RoleId role) const;
 
   /// \brief True if this is the vacuous description THING.
   bool IsThing() const;
@@ -132,7 +137,7 @@ class NormalForm {
   /// when this form was never interned. Two forms from the same store are
   /// structurally equal iff their ids are equal; the SubsumptionIndex
   /// keys on these ids.
-  NfId interned_id() const { return nf_id_; }
+  NfId interned_id() const { return nf_id_.id; }
 
   /// \brief Renders the normal form back into a Description (used for
   /// descriptive answers, ask-description and concept-aspect output).
@@ -149,10 +154,13 @@ class NormalForm {
   /// disjointness conflicts against atoms already present.
   void AddAtom(AtomId atom, const Vocabulary& vocab);
   /// Intersects the enumeration with `members`.
-  void IntersectEnumeration(const std::set<IndId>& members);
+  void IntersectEnumeration(const IdSet<IndId>& members);
+  /// The record for `role`, created if absent. Creating a record moves
+  /// the others: the pointer dies at the next MutableRole that creates.
   RoleRestriction* MutableRole(RoleId role, const Vocabulary& vocab);
   void AddTest(Symbol fn);
-  CorefGraph* mutable_coref() { return &coref_; }
+  /// Creates the out-of-line graph on first use.
+  CorefGraph* mutable_coref();
 
   /// \brief Re-establishes all derived invariants after mutation:
   /// cardinality consistency, closure deductions, enumeration filtering,
@@ -167,15 +175,31 @@ class NormalForm {
   /// One pass of invariant restoration; returns true if anything changed.
   bool TightenOnce(const Vocabulary& vocab);
 
-  NfId nf_id_ = kNoNfId;
+  /// Copies reset the interned id: a copy is mutable again and no longer
+  /// the store's canonical object, so it must not claim the identity
+  /// (memoized subsumption keys on NfId pairs). Moves keep it.
+  struct StoreId {
+    NfId id = kNoNfId;
+    StoreId() = default;
+    StoreId(const StoreId&) {}
+    StoreId(StoreId&&) = default;
+    StoreId& operator=(const StoreId&) { return *this = StoreId(); }
+    StoreId& operator=(StoreId&&) = default;
+  };
+
+  StoreId nf_id_;
   bool incoherent_ = false;
   IncoherenceKind incoherence_kind_ = IncoherenceKind::kNone;
-  std::string incoherence_reason_;
-  std::set<AtomId> atoms_;
-  std::optional<std::set<IndId>> enumeration_;
-  std::map<RoleId, RoleRestriction> roles_;
-  std::set<Symbol> tests_;
-  CorefGraph coref_;
+  bool has_enumeration_ = false;
+  IdSet<AtomId> atoms_;
+  IdSet<IndId> enumeration_;
+  RoleRecords roles_;
+  IdSet<Symbol> tests_;
+  /// Null when there is no SAME-AS constraint. Copies share the graph;
+  /// mutable_coref() unshares it.
+  std::shared_ptr<CorefGraph> coref_;
+  /// Null while coherent.
+  std::shared_ptr<const std::string> incoherence_reason_;
 };
 
 /// \brief The vacuous normal form (THING); shared singleton.

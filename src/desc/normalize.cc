@@ -110,7 +110,7 @@ Status Normalizer::Apply(const Description& d, bool allow_close,
     }
 
     case DescKind::kOneOf: {
-      std::set<IndId> members;
+      IdSet<IndId> members;
       for (const IndRef& ref : d.members()) {
         CLASSIC_ASSIGN_OR_RETURN(IndId id, ResolveInd(ref));
         members.insert(id);

@@ -10,7 +10,10 @@
 //
 // It is filler-first: slot f of a CowVector (util/cow.h) indexed by
 // filler IndId holds f's postings, role -> sorted set of the individuals
-// whose *derived* state fills that role with f. Because
+// whose *derived* state fills that role with f. Both levels are flat: a
+// vector of (role, holders) sorted by role, each holder list an IdSet
+// (util/id_set.h). At 32k individuals a posting list holds 1.25 holders
+// on average, where a tree spends a heap node per entry. Because
 // KnowledgeBase::Satisfies requires derived fillers to be a superset of
 // the query's fillers, a posting set is a complete candidate superset
 // for its FILLS conjunct — host-valued fillers included, since a host
@@ -30,49 +33,64 @@
 
 #pragma once
 
-#include <map>
 #include <memory>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "desc/ids.h"
 #include "util/cow.h"
+#include "util/id_set.h"
 
 namespace classic {
 
 class FillsIndex {
  public:
-  /// One filler's postings: role -> holders.
-  using RolePostings = std::map<RoleId, std::set<IndId>>;
+  /// One filler's postings: (role, holders), ascending by role.
+  using RolePostings = std::vector<std::pair<RoleId, IdSet<IndId>>>;
 
   /// Individuals whose derived state fills `role` with `filler`;
   /// nullptr when no individual ever did (an empty — rolled-back — set
   /// is possible and means the same thing). Safe to call from any
   /// thread on a published snapshot.
-  const std::set<IndId>* Postings(RoleId role, IndId filler) const {
+  const IdSet<IndId>* Postings(RoleId role, IndId filler) const {
     const RolePostings* by_role = by_filler_.Find(filler);
     if (by_role == nullptr) return nullptr;
-    auto it = by_role->find(role);
-    return it == by_role->end() ? nullptr : &it->second;
+    auto it = LowerBoundById(*by_role, role);
+    return it == by_role->end() || it->first != role ? nullptr : &it->second;
   }
 
   /// Every individual whose derived state fills some role with `filler`,
   /// ascending, each once.
-  std::vector<IndId> Holders(IndId filler) const;
+  std::vector<IndId> Holders(IndId filler) const {
+    IdSet<IndId> out;
+    if (const RolePostings* by_role = by_filler_.Find(filler)) {
+      for (const auto& [role, holders] : *by_role) {
+        out.insert(holders.begin(), holders.end());
+      }
+    }
+    return {out.begin(), out.end()};
+  }
 
   // --- Writer side (single-writer, like the rest of the KB) --------------
 
   /// Records that `host`'s derived state fills (role, filler). Returns
   /// true when the posting is new (the caller journals it for rollback).
   bool Add(RoleId role, IndId filler, IndId host) {
-    return by_filler_.MutableValue(filler)[role].insert(host).second;
+    RolePostings& by_role = by_filler_.MutableValue(filler);
+    auto it = LowerBoundById(by_role, role);
+    if (it == by_role.end() || it->first != role) {
+      it = by_role.emplace(it, role, IdSet<IndId>{});
+    }
+    return it->second.insert(host).second;
   }
 
   /// Rollback of a journaled Add. The posting set may become empty but
   /// stays; empty sets are harmless — they only make the planner's
   /// candidate set smaller.
   void Remove(RoleId role, IndId filler, IndId host) {
-    by_filler_.MutableValue(filler)[role].erase(host);
+    RolePostings& by_role = by_filler_.MutableValue(filler);
+    auto it = LowerBoundById(by_role, role);
+    if (it != by_role.end() && it->first == role) it->second.erase(host);
   }
 
   /// Drops everything (the RederiveAll path, which replays the base log

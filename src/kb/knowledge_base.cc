@@ -525,28 +525,21 @@ std::optional<IndId> KnowledgeBase::ResolvePath(IndId start,
 }
 
 bool KnowledgeBase::Satisfies(IndId ind, const NormalForm& concept_nf) const {
-  std::set<std::pair<IndId, const NormalForm*>> guard;
-  return SatisfiesImpl(ind, concept_nf, &guard);
+  return SatisfiesImpl(ind, concept_nf, nullptr);
 }
 
-bool KnowledgeBase::SatisfiesImpl(
-    IndId ind, const NormalForm& nf,
-    std::set<std::pair<IndId, const NormalForm*>>* guard) const {
+bool KnowledgeBase::SatisfiesImpl(IndId ind, const NormalForm& nf,
+                                  const SatisfiesGoal* caller) const {
   ++stats_.satisfies_checks;
   CLASSIC_OBS_COUNT(kInstanceChecks);
   if (nf.incoherent()) return false;
   if (nf.IsThing()) return true;
-  auto key = std::make_pair(ind, &nf);
-  if (!guard->insert(key).second) {
+  for (const SatisfiesGoal* g = caller; g != nullptr; g = g->caller) {
     // Cycle through the filler graph: only finitely derivable knowledge
     // counts, so an in-progress goal is not yet proven.
-    return false;
+    if (g->ind == ind && g->nf == &nf) return false;
   }
-  struct GuardPop {
-    std::set<std::pair<IndId, const NormalForm*>>* g;
-    std::pair<IndId, const NormalForm*> k;
-    ~GuardPop() { g->erase(k); }
-  } pop{guard, key};
+  const SatisfiesGoal goal{ind, &nf, caller};
 
   const NormalForm& derived = *StateRef(ind).derived;
 
@@ -593,7 +586,7 @@ bool KnowledgeBase::SatisfiesImpl(
       } else if (ri.closed) {
         ok = true;
         for (IndId f : ri.fillers) {
-          if (!SatisfiesImpl(f, want, guard)) {
+          if (!SatisfiesImpl(f, want, &goal)) {
             ok = false;
             break;
           }

@@ -34,7 +34,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -46,6 +45,7 @@
 #include "taxonomy/taxonomy.h"
 #include "util/bitset.h"
 #include "util/cow.h"
+#include "util/id_set.h"
 #include "util/result.h"
 #include "util/stable_vector.h"
 #include "util/status.h"
@@ -70,7 +70,8 @@ struct Rule {
   NormalFormPtr consequent;
 };
 
-/// \brief Assertional state of one CLASSIC individual.
+/// \brief Assertional state of one CLASSIC individual. Flat: its sets are
+/// sorted id vectors (util/id_set.h), `derived` a flat normal form.
 struct IndividualState {
   /// Base assertions, as asserted (the replay log for retraction).
   std::vector<DescPtr> asserted;
@@ -79,12 +80,12 @@ struct IndividualState {
   /// shared intrinsic form it starts from.
   NormalFormPtr derived;
   /// Every taxonomy node this individual is a recognized instance of.
-  std::set<NodeId> subsumer_nodes;
+  IdSet<NodeId> subsumer_nodes;
   /// Most specific of the above ("the lowest concept(s) in the schema
   /// whose description(s) it satisfies", Section 5).
-  std::set<NodeId> msc;
+  IdSet<NodeId> msc;
   /// Rules already fired for this individual (indices into rules()).
-  std::set<size_t> applied_rules;
+  IdSet<size_t> applied_rules;
 };
 
 /// \brief Engine statistics, exposed for the benchmark harness.
@@ -183,6 +184,12 @@ class KnowledgeBase {
   /// structurally) and re-derives the database from the remaining base
   /// assertions. The paper's announced "destructive update" facility.
   Status RetractInd(IndId ind, const DescPtr& expr);
+
+  /// \brief Every accepted assertion, in the global order replay must
+  /// keep (CLOSE means "the fillers known at that moment").
+  const CowVector<std::pair<IndId, DescPtr>>& base_log() const {
+    return base_log_;
+  }
 
   /// \brief Re-runs propagation from every CLASSIC individual. The
   /// derived state is already a fixed point, so this is a (cheap)
@@ -297,12 +304,19 @@ class KnowledgeBase {
   size_t TakeCowCopyCount();
   size_t ApproxSharedCowBytes() const;
 
+  /// SatisfiesImpl's goals in progress: a stack linked through its call
+  /// frames, as deep as the filler recursion, so it never allocates.
+  struct SatisfiesGoal {
+    IndId ind;
+    const NormalForm* nf;
+    const SatisfiesGoal* caller;
+  };
+
   /// Recursive instance test with a cycle guard (individual graphs may be
-  /// cyclic; in-progress pairs conservatively fail, which keeps the test
-  /// sound for derivable knowledge).
+  /// cyclic; an in-progress goal conservatively fails, which keeps the
+  /// test sound for derivable knowledge).
   bool SatisfiesImpl(IndId ind, const NormalForm& nf,
-                     std::set<std::pair<IndId, const NormalForm*>>* guard)
-      const;
+                     const SatisfiesGoal* caller) const;
 
   /// Re-derives everything from base assertions (retraction support).
   Status RederiveAll();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 
 #include "obs/histogram.h"
 #include "obs/metrics.h"
@@ -121,7 +120,7 @@ void Propagator::IndexExclusionSites(IndId ind, const NormalForm& derived) {
   if (kb_->StateSiteHolders().Test(ind)) return;
   const Vocabulary& vocab = *kb_->vocab_;
   const bool state_site =
-      derived.enumeration().has_value() || !derived.coref().empty() ||
+      derived.enumeration() != nullptr || !derived.coref().empty() ||
       std::any_of(derived.atoms().begin(), derived.atoms().end(),
                   [&vocab](AtomId atom) {
                     return vocab.atom(atom).group != kNoSymbol &&

@@ -30,6 +30,7 @@ std::vector<TraceEvent>& Events() {
   return *events;
 }
 
+#if CLASSIC_OBS
 constexpr size_t kMaxSpanDepth = 64;
 
 /// Per-thread span stack; constant-initialized (tid assigned lazily).
@@ -47,6 +48,7 @@ uint32_t LocalTid() {
   }
   return t_spans.tid;
 }
+#endif  // CLASSIC_OBS
 
 }  // namespace
 

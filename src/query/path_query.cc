@@ -231,7 +231,7 @@ class PathEvaluator {
       // Reverse step: the (role, object) posting holds exactly the
       // subjects whose derived state fills the role with the object.
       size_t var = atom.subject.var();
-      const std::set<IndId>* subjects =
+      const IdSet<IndId>* subjects =
           kb_.fills_index().Postings(atom.role, Value(atom.object));
       if (subjects != nullptr) {
         for (IndId subject : *subjects) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -38,7 +37,7 @@ struct Source {
   /// list ever existed for the pair — the query can only be answered by
   /// subsumed concepts' extensions).
   const DynamicBitset* extension = nullptr;
-  const std::set<IndId>* members = nullptr;
+  const IdSet<IndId>* members = nullptr;
   NodeId node = 0;       // kTaxonomy
   RoleId role = 0;       // kFills / kHostValue
   IndId filler = kNoId;  // kFills / kHostValue
@@ -104,10 +103,10 @@ Prepared Prepare(const KnowledgeBase& kb, const NormalForm& nf) {
       p.sources.push_back(s);
     }
   }
-  if (nf.enumeration().has_value()) {
+  if (nf.enumeration() != nullptr) {
     Source s;
     s.kind = Source::Kind::kEnum;
-    s.members = &*nf.enumeration();
+    s.members = nf.enumeration();
     s.size = s.members->size();
     p.sources.push_back(s);
   }

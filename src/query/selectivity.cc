@@ -31,7 +31,7 @@ double SelImpl(const NormalForm& nf, const Vocabulary& vocab, size_t depth) {
     sel *= vocab.atom(a).group != kNoSymbol ? 0.25 : 0.5;
   }
 
-  if (nf.enumeration().has_value()) {
+  if (nf.enumeration() != nullptr) {
     sel = std::min(sel,
                    static_cast<double>(nf.enumeration()->size()) / 1024.0);
   }

@@ -38,13 +38,14 @@ std::string DumpDatabase(const KnowledgeBase& kb) {
         << rule.consequent_source->ToString(symbols) << ")\n";
   }
 
-  for (IndId i = 0; i < vocab.num_individuals(); ++i) {
-    const IndInfo& info = vocab.individual(i);
-    if (info.kind != IndKind::kClassic) continue;
-    for (const DescPtr& expr : kb.state(i).asserted) {
-      out << "(assert-ind " << symbols.Name(info.name) << " "
-          << expr->ToString(symbols) << ")\n";
-    }
+  // Assertions in the global order they were accepted, not grouped by
+  // individual: CLOSE fixes a role to the fillers known at that moment,
+  // which may come from another individual's earlier assertion.
+  const auto& log = kb.base_log();
+  for (size_t i = 0; i < log.size(); ++i) {
+    const auto& [ind, expr] = log[i];
+    out << "(assert-ind " << symbols.Name(vocab.individual(ind).name) << " "
+        << expr->ToString(symbols) << ")\n";
   }
 
   return out.str();

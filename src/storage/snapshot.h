@@ -10,7 +10,7 @@
 //   (create-ind Name)          ; individuals may appear in definitions
 //   (define-concept NAME <definition>)
 //   (assert-rule NAME <consequent>)
-//   (assert-ind Name <expression>)
+//   (assert-ind Name <expression>)   ; in the order they were accepted
 //
 // TEST functions are host-language closures and cannot be serialized; a
 // snapshot references them by name and they must be re-registered before

@@ -164,7 +164,7 @@ namespace {
 /// other side (enumeration filtering, coref record merging) is left to
 /// MeetNormalForms itself.
 bool NeedsMeet(const NormalForm& nf) {
-  return nf.enumeration().has_value() || !nf.coref().empty();
+  return nf.enumeration() != nullptr || !nf.coref().empty();
 }
 
 /// True if the atoms of two coherent forms clash. A coherent form holds
@@ -172,7 +172,7 @@ bool NeedsMeet(const NormalForm& nf) {
 /// `probed` lacks can meet a different atom of its group; `probed` is
 /// searched, not walked, unless that happens.
 template <typename Atoms>
-bool AtomsClash(const Atoms& walked, const std::set<AtomId>& probed,
+bool AtomsClash(const Atoms& walked, const IdSet<AtomId>& probed,
                 const Vocabulary& vocab) {
   for (AtomId x : walked) {
     const Symbol group = vocab.atom(x).group;
@@ -186,7 +186,7 @@ bool AtomsClash(const Atoms& walked, const std::set<AtomId>& probed,
 
 /// Walks a ∪ b in order, stopping at the first element `fn` accepts.
 template <typename Fn>
-bool AnyOfUnion(const std::set<IndId>& a, const std::set<IndId>& b, Fn fn) {
+bool AnyOfUnion(const IdSet<IndId>& a, const IdSet<IndId>& b, Fn fn) {
   auto ia = a.begin();
   auto ib = b.begin();
   while (ia != a.end() || ib != b.end()) {
@@ -202,7 +202,7 @@ bool AnyOfUnion(const std::set<IndId>& a, const std::set<IndId>& b, Fn fn) {
   return false;
 }
 
-size_t UnionSize(const std::set<IndId>& a, const std::set<IndId>& b) {
+size_t UnionSize(const IdSet<IndId>& a, const IdSet<IndId>& b) {
   if (a.empty() || b.empty()) return a.size() + b.size();
   size_t n = 0;
   AnyOfUnion(a, b, [&n](IndId) {
@@ -284,10 +284,8 @@ bool DisjointWalkingB(const NormalForm& a, const NormalForm& b,
   }
   if (AtomsClash(b_atoms, a.atoms(), vocab)) return true;
   for (const auto& [role, rb] : b.roles()) {
-    auto ra = a.roles().find(role);
-    if (ra != a.roles().end() && RolesClash(ra->second, rb, vocab)) {
-      return true;
-    }
+    const RoleRestriction* ra = a.FindRole(role);
+    if (ra != nullptr && RolesClash(*ra, rb, vocab)) return true;
   }
   return false;
 }

@@ -162,8 +162,13 @@ class ClassifyReferenceTest : public ::testing::TestWithParam<uint64_t> {
       }
       const IndividualState& st = kb.state(ind);
       const std::string name = kb.vocab().IndividualName(ind);
-      EXPECT_EQ(st.subsumer_nodes, satisfied) << name;
-      EXPECT_EQ(st.msc, MostSpecific(satisfied, general_)) << name;
+      EXPECT_EQ(std::set<NodeId>(st.subsumer_nodes.begin(),
+                                 st.subsumer_nodes.end()),
+                satisfied)
+          << name;
+      EXPECT_EQ(std::set<NodeId>(st.msc.begin(), st.msc.end()),
+                MostSpecific(satisfied, general_))
+          << name;
       recognized += satisfied.size();
     }
     EXPECT_GT(recognized, kIndividuals);

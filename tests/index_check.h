@@ -43,7 +43,7 @@ namespace classic {
 
 namespace index_check {
 
-inline std::vector<IndId> Members(const std::set<IndId>* s) {
+inline std::vector<IndId> Members(const IdSet<IndId>* s) {
   if (s == nullptr) return {};
   return {s->begin(), s->end()};
 }
@@ -101,7 +101,7 @@ inline ::testing::AssertionResult CheckIndexes(const KnowledgeBase& kb) {
       record_holders[role].push_back(i);
       for (IndId filler : rr.fillers) postings[{role, filler}].push_back(i);
     }
-    bool state_site = st.derived->enumeration().has_value() ||
+    bool state_site = st.derived->enumeration() != nullptr ||
                       !st.derived->coref().empty();
     for (AtomId atom : st.derived->atoms()) {
       const AtomInfo& info = kb.vocab().atom(atom);

@@ -170,7 +170,7 @@ TEST_F(NormalFormApiTest, EnumerationIntersectionViaApi) {
   nf.IntersectEnumeration({a_, b_});
   nf.IntersectEnumeration({b_});
   nf.Tighten(vocab_);
-  ASSERT_TRUE(nf.enumeration().has_value());
+  ASSERT_NE(nf.enumeration(), nullptr);
   EXPECT_EQ(nf.enumeration()->size(), 1u);
   nf.IntersectEnumeration({a_});
   nf.Tighten(vocab_);

@@ -171,7 +171,7 @@ TEST_F(NormalizeTest, BuiltinDisjointness) {
 TEST_F(NormalizeTest, HostValueEnumerationFiltering) {
   // (AND INTEGER (ONE-OF 1 "a" 2)) keeps only the integers.
   NormalFormPtr nf = NF("(AND INTEGER (ONE-OF 1 \"a\" 2))");
-  ASSERT_TRUE(nf->enumeration().has_value());
+  ASSERT_NE(nf->enumeration(), nullptr);
   EXPECT_EQ(nf->enumeration()->size(), 2u);
   // All strings -> empty -> incoherent.
   EXPECT_TRUE(NF("(AND INTEGER (ONE-OF \"a\" \"b\"))")->incoherent());

@@ -26,6 +26,8 @@
 namespace classic {
 namespace {
 
+#if CLASSIC_OBS
+
 std::vector<QueryRequest> MakeRequests(const bench::StandardWorkload& w,
                                        size_t count, uint64_t seed) {
   Rng rng(seed);
@@ -62,8 +64,6 @@ std::vector<QueryRequest> MakeRequests(const bench::StandardWorkload& w,
   }
   return out;
 }
-
-#if CLASSIC_OBS
 
 TEST(ObsParallelTest, BatchCounterTotalsMatchSerialOnWarmSnapshot) {
   Database db;

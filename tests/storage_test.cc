@@ -210,6 +210,61 @@ TEST_F(StorageTest, CheckpointTruncatesLogAndStaysRecoverable) {
   std::remove(snap_path.c_str());
 }
 
+TEST_F(StorageTest, SnapshotKeepsCrossIndividualCloseOrder) {
+  // A's CLOSE comes after B's FILLS, which through A's SAME-AS gives A an
+  // r-filler. Replaying A's assertions before B's would close r empty and
+  // then reject B's FILLS.
+  std::string path = TempPath("classic_cross_close.snap");
+  Database db;
+  Must(db.DefineAttribute("r"));
+  Must(db.DefineAttribute("s"));
+  Must(db.DefineAttribute("t"));
+  Must(db.CreateIndividual("A"));
+  Must(db.CreateIndividual("B"));
+  Must(db.CreateIndividual("D"));
+  Must(db.AssertInd("A", "(SAME-AS (r) (s t))"));
+  Must(db.AssertInd("A", "(FILLS s B)"));
+  Must(db.AssertInd("B", "(FILLS t D)"));
+  Must(db.AssertInd("A", "(CLOSE r)"));
+  Must(db.SaveSnapshot(path));
+  Database restored;
+  Must(restored.LoadFile(path));
+  EXPECT_EQ(restored.kb().CanonicalDerivedState(),
+            db.kb().CanonicalDerivedState());
+  std::remove(path.c_str());
+}
+
+TEST_F(StorageTest, CheckpointThenReloadKeepsDerivedState) {
+  std::string log_path = TempPath("classic_ckpt_state.log");
+  std::string snap_path = TempPath("classic_ckpt_state.snap");
+  std::remove(log_path.c_str());
+  std::string before;
+  {
+    Database db;
+    Must(db.OpenLog(log_path));
+    BuildSampleDb(&db);
+    Must(db.DefineAttribute("s"));
+    Must(db.DefineAttribute("t"));
+    Must(db.CreateIndividual("Lab"));
+    Must(db.CreateIndividual("D"));
+    // Rocky's advisor is known only through Lab, an individual created
+    // after Rocky, when Rocky's advisor role closes.
+    Must(db.AssertInd("Rocky", "(SAME-AS (advisor) (s t))"));
+    Must(db.AssertInd("Rocky", "(FILLS s Lab)"));
+    Must(db.AssertInd("Lab", "(FILLS t D)"));
+    Must(db.AssertInd("Rocky", "(CLOSE advisor)"));
+    Must(db.Checkpoint(snap_path));
+    Must(db.AssertInd("D", "PERSON"));
+    before = db.kb().CanonicalDerivedState();
+  }
+  Database recovered;
+  Must(recovered.LoadFile(snap_path));
+  Must(recovered.LoadFile(log_path));
+  EXPECT_EQ(recovered.kb().CanonicalDerivedState(), before);
+  std::remove(log_path.c_str());
+  std::remove(snap_path.c_str());
+}
+
 TEST_F(StorageTest, CheckpointWithoutLogIsAnError) {
   Database db;
   EXPECT_TRUE(

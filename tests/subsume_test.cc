@@ -245,7 +245,7 @@ class RandomForms {
     NormalForm nf;
     for (uint64_t n = rng_.Below(3); n > 0; --n) nf.AddAtom(Atom(), vocab_);
     if (rng_.Chance(0.12)) {
-      std::set<IndId> members;
+      IdSet<IndId> members;
       for (uint64_t n = 1 + rng_.Below(3); n > 0; --n) members.insert(Ind());
       nf.IntersectEnumeration(members);
     }

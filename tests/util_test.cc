@@ -1,11 +1,14 @@
 // Unit tests for util: Status/Result, interning, string helpers, RNG,
-// thread pool.
+// thread pool, sorted id sets.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "util/id_set.h"
 #include "util/intern.h"
 #include "util/rng.h"
 #include "util/result.h"
@@ -148,6 +151,56 @@ TEST(RngTest, DoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
+}
+
+std::vector<uint32_t> Ids(const IdSet<uint32_t>& s) {
+  return {s.begin(), s.end()};
+}
+
+TEST(IdSetTest, KeepsIdsSortedAndUnique) {
+  IdSet<uint32_t> s = {5, 1, 3, 1};
+  EXPECT_EQ(Ids(s), (std::vector<uint32_t>{1, 3, 5}));
+  EXPECT_TRUE(s.insert(4).second);
+  EXPECT_FALSE(s.insert(3).second);
+  EXPECT_TRUE(s.insert(9).second);  // append
+  EXPECT_TRUE(s.insert(0).second);  // front
+  EXPECT_EQ(Ids(s), (std::vector<uint32_t>{0, 1, 3, 4, 5, 9}));
+  EXPECT_EQ(s.count(4), 1u);
+  EXPECT_EQ(s.count(2), 0u);
+  EXPECT_EQ(s.find(2), s.end());
+  EXPECT_EQ(*s.find(5), 5u);
+  EXPECT_EQ(s[1], 1u);
+  EXPECT_EQ(s.erase(4), 1u);
+  EXPECT_EQ(s.erase(4), 0u);
+  EXPECT_EQ(s.erase_if([](uint32_t id) { return id % 3 == 0; }), 3u);
+  EXPECT_EQ(Ids(s), (std::vector<uint32_t>{1, 5}));
+}
+
+TEST(IdSetTest, RangeInsertMergesLikeStdSet) {
+  // Interleaved, overlapping, disjoint and empty ranges against a
+  // std::set reference.
+  const std::vector<std::vector<uint32_t>> ranges = {
+      {}, {7}, {2, 7, 9}, {0, 1}, {10, 11, 12}, {1, 3, 5, 7, 11, 13}, {}};
+  IdSet<uint32_t> flat;
+  std::set<uint32_t> tree;
+  for (const std::vector<uint32_t>& r : ranges) {
+    const std::set<uint32_t> source(r.begin(), r.end());
+    flat.insert(source.begin(), source.end());
+    tree.insert(source.begin(), source.end());
+    EXPECT_EQ(Ids(flat), std::vector<uint32_t>(tree.begin(), tree.end()));
+  }
+  IdSet<uint32_t> copy;
+  copy.insert(flat.begin(), flat.end());
+  EXPECT_EQ(copy, flat);
+  flat.insert(copy.begin(), copy.end());  // all present: unchanged
+  EXPECT_EQ(copy, flat);
+}
+
+TEST(IdSetTest, LowerBoundByIdFindsKeyedPairs) {
+  std::vector<std::pair<uint32_t, char>> pairs = {{1, 'a'}, {4, 'b'}, {9, 'c'}};
+  EXPECT_EQ(LowerBoundById(pairs, 4u)->second, 'b');
+  EXPECT_EQ(LowerBoundById(pairs, 5u)->second, 'c');
+  EXPECT_EQ(LowerBoundById(pairs, 10u), pairs.end());
 }
 
 TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
