@@ -2,9 +2,9 @@
 //
 // Measures, on the 1024-concept standard workload:
 //
-//   - BM_QueryBatch/T: wall-clock time to serve a fixed mixed batch at a
-//     serving concurrency of T threads against one published epoch. The
-//     1 -> 8 scaling factor is the headline number
+//   - BM_QueryBatch/T: wall-clock time to serve a fixed mixed batch on
+//     an engine built with a serving concurrency of T threads, against
+//     one published epoch. The 1 -> 8 scaling factor is the headline number
 //     (bench/run_parallel_bench.sh derives it into BENCH_parallel.json);
 //     on a single-core container it degenerates to ~1x, which the JSON
 //     records alongside the detected core count.
@@ -12,8 +12,8 @@
 //     on an N-individual database (N in {1k, 8k, 64k}), i.e. the
 //     writer-side price of snapshot isolation. Publication is
 //     copy-on-write — O(mutations since the last publish) — so the
-//     steady-state cost is flat across N (each iteration publishes an
-//     unmutated master: the delta floor).
+//     steady-state cost is flat across N (each iteration republishes an
+//     unmutated database: the delta floor).
 //   - BM_PublishDelta/N: one mutation, then publish, on the same
 //     databases; only the publish is timed. This is the honest O(delta)
 //     number: delta = 1 assertion, N = 1k vs 64k should be within a
@@ -84,12 +84,13 @@ std::vector<QueryRequest> MakeMixedRequests(const StandardWorkload& w,
 struct ParallelFixture {
   Database db;
   KbEngine engine;
+  SnapshotPtr snapshot;
   std::vector<QueryRequest> requests;
 
   ParallelFixture() {
     StandardWorkload w =
         BuildStandardWorkload(&db, kConcepts, kIndividuals, /*seed=*/42);
-    engine.PublishFrom(db.kb());
+    snapshot = engine.PublishFrom(db.kb());
     requests = MakeMixedRequests(w, kBatchSize, /*seed=*/0xBEEF);
     // Warm the logically-const caches (normal forms, host literals) once
     // so every thread count measures the same steady state.
@@ -105,9 +106,13 @@ ParallelFixture& Fixture() {
 void BM_QueryBatch(benchmark::State& state) {
   ParallelFixture& fx = Fixture();
   const size_t threads = static_cast<size_t>(state.range(0));
+  // An engine's pool is sized once, at construction; this one serves the
+  // fixture's warm epoch.
+  KbEngine engine(KbEngine::Options{.num_threads = threads});
   size_t answers = 0;
   for (auto _ : state) {
-    std::vector<QueryAnswer> out = fx.engine.QueryBatch(fx.requests, threads);
+    std::vector<QueryAnswer> out =
+        engine.QueryBatchOn(*fx.snapshot, fx.requests);
     answers = out.size();
     benchmark::DoNotOptimize(out);
   }
@@ -157,7 +162,7 @@ PublishFixture& PublishFixtureFor(size_t num_individuals) {
 void BM_Publish(benchmark::State& state) {
   PublishFixture& fx = PublishFixtureFor(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    SnapshotPtr snap = fx.engine.Publish();
+    SnapshotPtr snap = fx.engine.PublishFrom(fx.db.kb());
     benchmark::DoNotOptimize(snap);
   }
   state.counters["individuals"] = static_cast<double>(state.range(0));

@@ -36,7 +36,7 @@ struct QueryRequest;
 /// KbEngine::PublishFrom (kb/kb_engine.h), which copies it copy-on-write
 /// and publishes immutable epoch snapshots to any number of reader
 /// threads. Publication does not copy the database's contents:
-/// snapshots share chunked storage with the master, and the writer
+/// snapshots share chunked storage with this database, and the writer
 /// copies only what it changes afterwards.
 class Database {
  public:

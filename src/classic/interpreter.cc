@@ -270,7 +270,6 @@ Result<std::string> Interpreter::Execute(const sexpr::Value& op) {
     return StrCat("propagation-steps=", s.propagation_steps,
                   " rule-firings=", s.rule_firings,
                   " realizations=", s.realizations,
-                  " satisfies-checks=", s.satisfies_checks,
                   " rejected-updates=", s.rejected_updates,
                   " concepts=", db_->kb().vocab().num_concepts(),
                   " individuals=", db_->kb().vocab().num_individuals(),

@@ -1,8 +1,8 @@
 // Epochs: immutable published views of a KnowledgeBase.
 //
 // The serving layer follows a single-writer / multi-reader snapshot
-// scheme. The writer owns a private master KnowledgeBase and mutates it
-// freely; Publish() deep-clones the master into a KbSnapshot — an
+// scheme. The writer owns its KnowledgeBase and mutates it freely;
+// KbEngine::PublishFrom() clones it copy-on-write into a KbSnapshot — an
 // immutable view carrying the cloned database plus a monotonically
 // increasing epoch number — and swaps it into the engine's current slot
 // atomically. Readers grab a shared_ptr to whatever snapshot is current

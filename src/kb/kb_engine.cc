@@ -288,45 +288,21 @@ std::string QueryAnswer::Canonical() const {
 KbEngine::KbEngine() : KbEngine(Options()) {}
 
 KbEngine::KbEngine(Options options)
-    : master_(std::make_unique<KnowledgeBase>()),
-      pool_(PoolWorkers(ResolveTotalThreads(options.num_threads))) {}
+    : pool_(PoolWorkers(ResolveTotalThreads(options.num_threads))) {}
 
 KbEngine::~KbEngine() = default;
 
 SnapshotPtr KbEngine::PublishFrom(KnowledgeBase& source) {
-  // The writer mutated `source` (not our master), so the copy-down work
-  // for this epoch's delta accrued on its counters; drain them here so
-  // the fresh clone's zeroed counters don't report the epoch as free.
-  CLASSIC_OBS_COUNT_N(kPublishChunksCopied, source.TakeCowCopyCount());
-  master_ = source.Clone();
-  return Publish();
-}
-
-Status KbEngine::Mutate(const std::function<Status(KnowledgeBase*)>& fn) {
-#if CLASSIC_OBS
-  obs::TraceSpan span("mutate");
-  const uint64_t start = obs::MonotonicNanos();
-#endif
-  CLASSIC_RETURN_NOT_OK(fn(master_.get()));
-  Publish();
-#if CLASSIC_OBS
-  obs::RecordLatency(obs::Op::kMutate, obs::MonotonicNanos() - start);
-  obs::FlushLocalCounters();
-#endif
-  return Status::OK();
-}
-
-SnapshotPtr KbEngine::Publish() {
 #if CLASSIC_OBS
   obs::TraceSpan span("publish");
   const uint64_t start = obs::MonotonicNanos();
 #endif
   CLASSIC_OBS_COUNT(kEpochPublishes);
-  // Drain copy counters accumulated by writer mutations since the last
-  // publish BEFORE copying, so the count reported for this epoch is
+  // Drain the copy counters the writer's mutations accumulated since the
+  // last publish BEFORE copying, so the count reported for this epoch is
   // exactly the chunks and values copied to assemble its delta.
-  CLASSIC_OBS_COUNT_N(kPublishChunksCopied, master_->TakeCowCopyCount());
-  std::unique_ptr<KnowledgeBase> clone = master_->Clone();
+  CLASSIC_OBS_COUNT_N(kPublishChunksCopied, source.TakeCowCopyCount());
+  std::unique_ptr<KnowledgeBase> clone = source.Clone();
   clone->FreezeVisibleIndividuals();
   CLASSIC_OBS_COUNT_N(kPublishBytesShared, clone->ApproxSharedCowBytes());
   const uint64_t e = epoch_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -606,11 +582,8 @@ std::vector<QueryAnswer> KbEngine::QueryBatchOn(
   };
   if (num_threads == 1) {
     for (size_t i = 0; i < requests.size(); ++i) serve(i);
-  } else if (num_threads == 0) {
-    pool_.ParallelFor(requests.size(), serve);
   } else {
-    ThreadPool batch_pool(PoolWorkers(num_threads));
-    batch_pool.ParallelFor(requests.size(), serve);
+    pool_.ParallelFor(requests.size(), serve);
   }
   return out;
 }

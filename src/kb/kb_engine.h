@@ -1,22 +1,22 @@
 // KbEngine: snapshot-isolated parallel query serving.
 //
-// One engine wraps one CLASSIC database for concurrent use:
+// One engine serves the epochs of one CLASSIC database for concurrent use:
 //
-//   - a single writer thread calls Mutate() (or edits master() directly
-//     and calls Publish()); every successful mutation round publishes a
-//     fresh immutable epoch (kb/epoch.h). Publication copies the
-//     database's copy-on-write stores (util/cow.h) without copying their
-//     contents — the writer pays for what it changes, once per epoch —
-//     so the engine can afford to keep a ring of recent epochs alive and
-//     serve "as of epoch N" queries against them (QueryRequest::AsOf). An
-//     epoch leaving the ring is freed outside the reader mutex;
+//   - a single writer thread owns and mutates its own KnowledgeBase and
+//     hands it over with PublishFrom(); each call publishes a fresh
+//     immutable epoch (kb/epoch.h). Publication copies the database's
+//     copy-on-write stores (util/cow.h) without copying their contents —
+//     the writer pays for what it changes, once per epoch — so the engine
+//     can afford to keep a ring of recent epochs alive and serve "as of
+//     epoch N" queries against them (QueryRequest::AsOf). An epoch leaving
+//     the ring is freed outside the reader mutex;
 //   - any number of reader threads call snapshot() / ServeQuery() /
 //     QueryBatch(); readers never block the writer and never observe a
 //     half-applied update — they hold whole-database snapshots;
-//   - QueryBatch fans a batch of requests across a thread pool, all
-//     evaluated against ONE snapshot acquired at batch start, so a batch
-//     is internally consistent and its answers are byte-identical to
-//     evaluating the same requests serially against that snapshot
+//   - QueryBatch fans a batch of requests across the engine's one worker
+//     pool, all evaluated against ONE snapshot acquired at batch start, so
+//     a batch is internally consistent and its answers are byte-identical
+//     to evaluating the same requests serially against that snapshot
 //     (tests/parallel_diff_test.cc holds the engine to exactly that).
 //
 // Serving covers every read entry point of the library: extensional
@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -138,8 +137,7 @@ struct QueryRequest {
 const char* QueryKindName(QueryRequest::Kind kind);
 
 /// \brief Inverse of QueryKindName; nullopt for unknown names (including
-/// the writer-side op names "mutate"/"publish", which are not request
-/// kinds).
+/// the writer-side op name "publish", which is not a request kind).
 std::optional<QueryRequest::Kind> QueryKindFromName(std::string_view name);
 
 /// \brief The obs histogram slot for a request kind.
@@ -200,7 +198,9 @@ struct QueryAnswer {
 class KbEngine {
  public:
   struct Options {
-    /// Worker threads for QueryBatch; 0 = std::thread::hardware_concurrency.
+    /// Serving concurrency of QueryBatch, the calling thread included;
+    /// 0 = std::thread::hardware_concurrency. Sizes the engine's one pool
+    /// at construction.
     size_t num_threads = 0;
   };
 
@@ -213,41 +213,28 @@ class KbEngine {
 
   // --- Writer side (one thread) ------------------------------------------
 
-  /// The private master database. Only the writer thread may touch it;
-  /// changes become visible to readers at the next Publish().
-  KnowledgeBase& master() { return *master_; }
-
-  /// \brief The one way to hand a database to the engine: adopts a
-  /// copy-on-write copy of `source` as the master and publishes it as
-  /// the next epoch. The source stays usable and shares chunk storage
-  /// with the engine's copies; earlier captures stay retained, so
-  /// successive captures of an evolving database form one lineage
-  /// queryable as-of, each publish costing only that round's delta.
-  /// Non-const: the source's copy counters are drained into the
-  /// `publish-chunks-copied` figure for this epoch.
+  /// \brief The one way to hand a database to the engine: captures a
+  /// copy-on-write copy of `source` (every store shares its chunk
+  /// directory; the cost is independent of database size), freezes its
+  /// visible-individual bound and atomically installs it as the next
+  /// epoch. Returns the new snapshot. The source stays the writer's and
+  /// shares chunk storage with the epoch, so successive captures of an
+  /// evolving database form one lineage queryable as-of, each publish
+  /// costing only that round's delta. Readers already holding older
+  /// epochs are unaffected; the engine additionally retains the last
+  /// kRetainedEpochs epochs for as-of serving. An epoch leaving the ring
+  /// is freed after the reader mutex is released (or by its last reader),
+  /// so readers never wait on its destructor. Non-const: the source's copy
+  /// counters are drained into the `publish-chunks-copied` figure for
+  /// this epoch.
   SnapshotPtr PublishFrom(KnowledgeBase& source);
 
-  /// \brief Applies `fn` to the master and, if it succeeds, publishes a
-  /// new epoch. On failure nothing is published (individual KB updates
-  /// are themselves atomic, so the master is still consistent).
-  Status Mutate(const std::function<Status(KnowledgeBase*)>& fn);
-
-  /// \brief Copies the master copy-on-write (every store shares its
-  /// chunk directory; the cost is independent of database size), freezes
-  /// its visible-individual bound and atomically installs it as the
-  /// current epoch. Returns the new snapshot. Readers already holding
-  /// older epochs are unaffected; the engine additionally retains the
-  /// last kRetainedEpochs epochs for as-of serving. An epoch leaving the
-  /// ring is freed after the reader mutex is released (or by its last
-  /// reader), so readers never wait on its destructor.
-  SnapshotPtr Publish();
-
-  /// How many recent epochs Publish keeps alive for as-of queries.
+  /// How many recent epochs PublishFrom keeps alive for as-of queries.
   static constexpr size_t kRetainedEpochs = 8;
 
   // --- Reader side (any thread) ------------------------------------------
 
-  /// \brief The current epoch (null until the first Publish).
+  /// \brief The current epoch (null until the first PublishFrom).
   SnapshotPtr snapshot() const;
 
   /// \brief Epoch number of the current snapshot (0 before any publish).
@@ -267,9 +254,9 @@ class KbEngine {
   static QueryAnswer ServeQuery(const KnowledgeBase& kb,
                                 const QueryRequest& request);
 
-  /// \brief Serves a batch against ONE snapshot acquired on entry, fanned
-  /// across the engine's pool (`num_threads` > 0 overrides the pool size
-  /// with a temporary pool — the differential tests sweep 1/4/8).
+  /// \brief Serves a batch against ONE snapshot acquired on entry:
+  /// `num_threads` == 1 serves it on the calling thread, any other value
+  /// fans it across the engine's pool (sized by Options::num_threads).
   /// Answer i always corresponds to request i. Fails every request with
   /// NotFound if nothing has been published yet.
   std::vector<QueryAnswer> QueryBatch(const std::vector<QueryRequest>& requests,
@@ -294,16 +281,16 @@ class KbEngine {
   static QueryAnswer ServeQueryImpl(const KnowledgeBase& kb,
                                     const QueryRequest& request);
 
-  std::unique_ptr<KnowledgeBase> master_;
   std::atomic<uint64_t> epoch_counter_{0};
-  /// Current epoch; written by Publish (writer), read by everyone.
+  /// Current epoch; written by PublishFrom (writer), read by everyone.
   std::shared_ptr<const KbSnapshot> current_;
   /// Ring of the last kRetainedEpochs published epochs (oldest first),
   /// kept alive for as-of queries. Guarded by current_mutex_, which
-  /// Publish never holds while an epoch is destroyed.
+  /// PublishFrom never holds while an epoch is destroyed.
   std::vector<std::shared_ptr<const KbSnapshot>> retained_;
   mutable std::mutex current_mutex_;
 
+  /// The engine's one worker pool, sized at construction.
   ThreadPool pool_;
 };
 

@@ -233,7 +233,6 @@ Status KnowledgeBase::AssertInd(IndId ind, DescPtr expr) {
     prop.RollbackAll();
     return st;
   }
-  MutableState(ind).asserted.push_back(expr);
   base_log_.push_back({ind, std::move(expr)});
   return Status::OK();
 }
@@ -314,10 +313,7 @@ Status KnowledgeBase::AssertIndBatch(
     prop.RollbackAll();
     return st;
   }
-  for (const auto& [ind, expr] : batch) {
-    MutableState(ind).asserted.push_back(expr);
-    base_log_.push_back({ind, expr});
-  }
+  for (const auto& entry : batch) base_log_.push_back(entry);
   return Status::OK();
 }
 
@@ -369,18 +365,7 @@ Status KnowledgeBase::RetractInd(IndId ind, const DescPtr& expr) {
   if (ind >= states_.size() || !IsClassicIndividual(ind)) {
     return Status::NotFound("no assertions recorded for this individual");
   }
-  IndividualState& st = MutableState(ind);
   const std::string needle = expr->ToString(vocab_->symbols());
-  auto it = std::find_if(st.asserted.begin(), st.asserted.end(),
-                         [&](const DescPtr& d) {
-                           return d->ToString(vocab_->symbols()) == needle;
-                         });
-  if (it == st.asserted.end()) {
-    return Status::NotFound(
-        StrCat("expression was not asserted of ", vocab_->IndividualName(ind),
-               ": ", needle));
-  }
-  st.asserted.erase(it);
   // Erase the FIRST matching log entry only: re-asserting the same
   // expression twice yields two entries, and retraction removes one
   // (multiset semantics).
@@ -389,21 +374,21 @@ Status KnowledgeBase::RetractInd(IndId ind, const DescPtr& expr) {
     if (entry.first == ind &&
         entry.second->ToString(vocab_->symbols()) == needle) {
       base_log_.EraseAt(i);
-      break;
+      return RederiveAll();
     }
   }
-  return RederiveAll();
+  return Status::NotFound(StrCat("expression was not asserted of ",
+                                 vocab_->IndividualName(ind), ": ", needle));
 }
 
 Status KnowledgeBase::RederiveAll() {
-  // Keep base assertions; wipe all derivations, then replay the base log
-  // in its original global order (the interleaving matters for CLOSE,
-  // whose meaning is "the fillers known at that moment").
+  // Wipe all derivations back to each individual's intrinsic form, then
+  // replay the base log in its original global order (the interleaving
+  // matters for CLOSE, whose meaning is "the fillers known at that
+  // moment").
   for (size_t i = 0; i < states_.size(); ++i) {
     IndividualState& st = states_.Mutable(i);
-    std::vector<DescPtr> asserted = std::move(st.asserted);
     st = IndividualState{};
-    st.asserted = std::move(asserted);
     st.derived = IntrinsicForm(static_cast<IndId>(i));
   }
   instances_.Clear();
@@ -530,7 +515,6 @@ bool KnowledgeBase::Satisfies(IndId ind, const NormalForm& concept_nf) const {
 
 bool KnowledgeBase::SatisfiesImpl(IndId ind, const NormalForm& nf,
                                   const SatisfiesGoal* caller) const {
-  ++stats_.satisfies_checks;
   CLASSIC_OBS_COUNT(kInstanceChecks);
   if (nf.incoherent()) return false;
   if (nf.IsThing()) return true;

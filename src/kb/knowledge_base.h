@@ -30,7 +30,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -72,9 +71,8 @@ struct Rule {
 
 /// \brief Assertional state of one CLASSIC individual. Flat: its sets are
 /// sorted id vectors (util/id_set.h), `derived` a flat normal form.
+/// Its base assertions are its entries in KnowledgeBase::base_log().
 struct IndividualState {
-  /// Base assertions, as asserted (the replay log for retraction).
-  std::vector<DescPtr> asserted;
   /// Everything currently derivable, as one normal form. Never null.
   /// Owned by this individual, not interned (nf_store.h), except for the
   /// shared intrinsic form it starts from.
@@ -88,25 +86,14 @@ struct IndividualState {
   IdSet<size_t> applied_rules;
 };
 
-/// \brief Engine statistics, exposed for the benchmark harness.
-///
-/// Counters are relaxed atomics: several reader threads bump them while
-/// serving queries from one shared snapshot, and a racy total would be a
-/// reported data race under TSan even where the imprecision is harmless.
+/// \brief Engine statistics, exposed for the benchmark harness. Only the
+/// writer's updates and its Propagator write them; readers count their
+/// instance tests in the obs layer (`instance-checks`).
 struct KbStats {
-  KbStats() = default;
-  KbStats(const KbStats& other)
-      : propagation_steps(other.propagation_steps.load()),
-        rule_firings(other.rule_firings.load()),
-        realizations(other.realizations.load()),
-        satisfies_checks(other.satisfies_checks.load()),
-        rejected_updates(other.rejected_updates.load()) {}
-
-  std::atomic<size_t> propagation_steps{0};
-  std::atomic<size_t> rule_firings{0};
-  std::atomic<size_t> realizations{0};
-  std::atomic<size_t> satisfies_checks{0};
-  std::atomic<size_t> rejected_updates{0};
+  size_t propagation_steps = 0;
+  size_t rule_firings = 0;
+  size_t realizations = 0;
+  size_t rejected_updates = 0;
 };
 
 /// \brief A CLASSIC database: schema + individuals + rules.
@@ -118,9 +105,9 @@ struct KbStats {
 /// introspection) are safe from any number of threads concurrently,
 /// because every logically-const cache they touch (symbol/host-value
 /// interning, the normal-form store, the subsumption memo, lazy state
-/// materialization, stats counters) is internally synchronized. The
-/// epoch layer in kb/kb_engine.h builds on this: the writer mutates a
-/// private master and publishes immutable clones for readers.
+/// materialization) is internally synchronized. The epoch layer in
+/// kb/kb_engine.h builds on this: the writer mutates its own database
+/// and publishes immutable clones of it for readers.
 class KnowledgeBase {
  public:
   KnowledgeBase();
@@ -389,7 +376,7 @@ class KnowledgeBase {
   /// RederiveAll.
   FillsIndex fills_index_;
 
-  mutable KbStats stats_;
+  KbStats stats_;
 };
 
 }  // namespace classic

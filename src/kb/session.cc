@@ -62,11 +62,11 @@ std::vector<uint64_t> Session::RetainedEpochs() const {
 }
 
 QueryAnswer Session::Serve(const QueryRequest& request) const {
-  return ServeBatch({request}, /*num_threads=*/1)[0];
+  return ServeBatch({request})[0];
 }
 
 std::vector<QueryAnswer> Session::ServeBatch(
-    const std::vector<QueryRequest>& requests, size_t num_threads) const {
+    const std::vector<QueryRequest>& requests) const {
   if (pinned_ == nullptr) {
     std::vector<QueryAnswer> out(requests.size());
     for (QueryAnswer& a : out) {
@@ -75,7 +75,7 @@ std::vector<QueryAnswer> Session::ServeBatch(
     }
     return out;
   }
-  return engine_->QueryBatchOn(*pinned_, requests, num_threads);
+  return engine_->QueryBatchOn(*pinned_, requests, /*num_threads=*/1);
 }
 
 Result<QueryRequest> Session::RequestFromForm(const sexpr::Value& form) {

@@ -68,11 +68,11 @@ class Session {
   /// own as_of_epoch). Unpinned sessions answer NotFound.
   QueryAnswer Serve(const QueryRequest& request) const;
 
-  /// \brief Serves a batch against the pinned epoch, fanned across the
-  /// engine's pool exactly like KbEngine::QueryBatch (answer i matches
-  /// request i; as_of_epoch requests are routed per-request).
-  std::vector<QueryAnswer> ServeBatch(const std::vector<QueryRequest>& requests,
-                                      size_t num_threads = 0) const;
+  /// \brief Serves a batch against the pinned epoch on the calling thread,
+  /// byte for byte like KbEngine::QueryBatch (answer i matches request i;
+  /// as_of_epoch requests are routed per-request).
+  std::vector<QueryAnswer> ServeBatch(
+      const std::vector<QueryRequest>& requests) const;
 
   KbEngine& engine() const { return *engine_; }
 

@@ -42,7 +42,6 @@ constexpr const char* kOpNames[kNumOps] = {
     "describe-individual",
     "most-specific-concepts",
     "instances-of",
-    "mutate",
     "publish",
     "serve-queue-wait",
     "propagate",

@@ -77,16 +77,16 @@ enum class Counter : uint32_t {
   kInstanceChecks,
   /// Requests evaluated by KbEngine::ServeQuery.
   kQueriesServed,
-  /// Epochs published by KbEngine::Publish.
+  /// Epochs published by KbEngine::PublishFrom.
   kEpochPublishes,
   /// Snapshot acquisitions (KbEngine::snapshot()).
   kSnapshotAcquisitions,
   /// COW chunks/values path-copied to assemble the published epoch's
-  /// delta (drained from the master at each Publish) — the O(delta)
-  /// publication cost in units of copies.
+  /// delta (drained from the writer's database at each publish) — the
+  /// O(delta) publication cost in units of copies.
   kPublishChunksCopied,
   /// Approximate bytes of chunk storage the published epoch shares with
-  /// the master instead of deep-copying.
+  /// the writer's database instead of deep-copying.
   kPublishBytesShared,
   /// Wire requests admitted by the serving front-end's admission
   /// controller (src/serve) — each admitted request is dispatched into a
@@ -137,7 +137,7 @@ const char* CounterName(Counter c);
 std::optional<Counter> CounterFromName(std::string_view name);
 
 /// \brief Operations with a latency histogram: the seven QueryRequest
-/// kinds plus the writer-side Mutate/Publish. OpName returns the shared
+/// kinds plus the writer-side publish. OpName returns the shared
 /// kind<->string mapping ("ask", "path-query", "publish", ...) that
 /// QueryKindName (kb/kb_engine.h), classic_stats and the JSON output all
 /// use.
@@ -149,7 +149,6 @@ enum class Op : uint32_t {
   kDescribeIndividual,
   kMostSpecificConcepts,
   kInstancesOf,
-  kMutate,
   kPublish,
   /// Serving-front-end queue wait: decode of a request frame to the start
   /// of its batch dispatch (src/serve admission + batching delay).

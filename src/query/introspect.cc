@@ -294,10 +294,14 @@ Result<std::vector<std::string>> NamedConceptsSubsuming(
 }
 
 Result<DescPtr> IndTold(const KnowledgeBase& kb, IndId ind) {
-  const auto& asserted = kb.state(ind).asserted;
-  if (asserted.empty()) return Description::Thing();
-  if (asserted.size() == 1) return asserted[0];
-  return Description::And(asserted);
+  const auto& log = kb.base_log();
+  std::vector<DescPtr> told;
+  for (size_t i = 0; i < log.size(); ++i) {
+    if (log[i].first == ind) told.push_back(log[i].second);
+  }
+  if (told.empty()) return Description::Thing();
+  if (told.size() == 1) return told[0];
+  return Description::And(told);
 }
 
 }  // namespace classic

@@ -123,8 +123,8 @@ Result<std::vector<std::string>> NamedConceptsSubsuming(
     const KnowledgeBase& kb, const DescPtr& expr);
 
 /// \brief The individual's *told* information: the conjunction of its
-/// base assertions, as asserted — contrast DescribeIndividual, which
-/// shows everything derived.
+/// base assertions, as asserted and in base-log order — contrast
+/// DescribeIndividual, which shows everything derived.
 Result<DescPtr> IndTold(const KnowledgeBase& kb, IndId ind);
 
 }  // namespace classic

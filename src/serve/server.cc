@@ -207,7 +207,7 @@ void Server::ConnectionLoop(Connection* conn) {
     std::vector<QueryAnswer> answers;
     if (!batch.empty()) {
       batches_dispatched_.fetch_add(1);
-      answers = session.ServeBatch(batch, options_.batch_threads);
+      answers = session.ServeBatch(batch);
     }
     size_t next_answer = 0;
     for (const PendingReply& p : pending) {

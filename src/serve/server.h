@@ -9,9 +9,10 @@
 //     current epoch; the client is greeted with a kHello frame carrying
 //     the protocol version and that epoch;
 //   - request frames are decoded as they arrive; everything a single
-//     read() delivers is admitted and dispatched as ONE snapshot-
-//     isolated QueryBatch (pipelining a burst of requests batches them
-//     for free), answers go back in request order;
+//     read() delivers is admitted and served as ONE snapshot-isolated
+//     batch on the connection thread (pipelining a burst of requests
+//     batches them for free; parallelism comes from connections, not
+//     from fanning one batch out), answers go back in request order;
 //   - kSync re-pins the session (latest epoch, or a named retained epoch
 //     for time travel) — the explicit (sync)/(as-of E) ops of the
 //     protocol;
@@ -51,13 +52,9 @@ class Server {
     uint16_t port = 0;
     /// Admission bound across all connections (see AdmissionController).
     size_t max_in_flight = 256;
-    /// Largest number of requests dispatched as one QueryBatch; a burst
+    /// Largest number of requests dispatched as one batch; a burst
     /// beyond this is split into successive batches.
     size_t max_batch = 64;
-    /// Thread fan-out per dispatched batch (KbEngine::QueryBatchOn).
-    /// 1 = serve on the connection thread; the default leans on
-    /// connection-level parallelism instead of per-batch fan-out.
-    size_t batch_threads = 1;
     /// Accept backlog.
     int listen_backlog = 64;
   };

@@ -30,9 +30,6 @@ class ThreadPool {
 
   size_t size() const { return workers_.size(); }
 
-  /// \brief Enqueues one task. Tasks must not throw.
-  void Submit(std::function<void()> task);
-
   /// \brief Runs fn(0) .. fn(n-1) across the workers (work-stealing by
   /// atomic counter) and returns when all calls have finished. The
   /// calling thread participates, so a 1-thread pool still makes
@@ -40,6 +37,9 @@ class ThreadPool {
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:
+  /// Enqueues one task. Private: only ParallelFor's latch tells a caller
+  /// when a queued task has finished. Tasks must not throw.
+  void Submit(std::function<void()> task);
   void WorkerLoop();
 
   std::vector<std::thread> workers_;

@@ -18,6 +18,12 @@ class IntrospectTest : public ::testing::Test {
     return std::move(r).ValueOrDie();
   }
 
+  /// IndTold of the named individual, rendered.
+  std::string Told(const std::string& name) {
+    DescPtr told = Must(IndTold(db_.kb(), Must(db_.FindIndividual(name))));
+    return told->ToString(db_.kb().vocab().symbols());
+  }
+
   void SetUp() override {
     Must(db_.DefineRole("thing-driven"));
     Must(db_.DefineRole("wheel"));
@@ -218,6 +224,53 @@ TEST_F(IntrospectTest, ToldVsDerived) {
   EXPECT_EQ(v1_told->kind(), DescKind::kThing);
   std::string v1_derived = *db_.DescribeIndividual("V1");
   EXPECT_NE(v1_derived.find("car"), std::string::npos);
+}
+
+// Told information is read from the base log: exactly this individual's
+// assertions, in the order they were accepted, however they interleave
+// with another individual's.
+TEST_F(IntrospectTest, ToldSkipsInterleavedAssertionsOfOthers) {
+  Must(db_.CreateIndividual("Rocky"));
+  Must(db_.CreateIndividual("Bullwinkle"));
+  Must(db_.CreateIndividual("V1"));
+  Must(db_.AssertInd("Rocky", "(FILLS thing-driven V1)"));
+  Must(db_.AssertInd("Bullwinkle", "(AT-LEAST 1 wheel)"));
+  Must(db_.AssertInd("Rocky", "(ALL thing-driven CAR)"));
+  Must(db_.AssertInd("Bullwinkle", "(ALL thing-driven CAR)"));
+  Must(db_.AssertInd("Rocky", "(AT-MOST 2 thing-driven)"));
+  EXPECT_EQ(Told("Rocky"),
+            "(AND (FILLS thing-driven V1) (ALL thing-driven CAR) "
+            "(AT-MOST 2 thing-driven))");
+  EXPECT_EQ(Told("Bullwinkle"),
+            "(AND (AT-LEAST 1 wheel) (ALL thing-driven CAR))");
+}
+
+TEST_F(IntrospectTest, ToldAfterBulkAssertKeepsBatchOrder) {
+  Must(db_.CreateIndividual("Rocky"));
+  Must(db_.CreateIndividual("Bullwinkle"));
+  Must(db_.CreateIndividual("V1"));
+  Must(db_.BulkAssert({{"Rocky", "(FILLS thing-driven V1)"},
+                       {"Bullwinkle", "(AT-LEAST 1 wheel)"},
+                       {"Rocky", "(ALL thing-driven CAR)"}}));
+  EXPECT_EQ(Told("Rocky"),
+            "(AND (FILLS thing-driven V1) (ALL thing-driven CAR))");
+  EXPECT_EQ(Told("Bullwinkle"), "(AT-LEAST 1 wheel)");
+}
+
+// Retraction erases the first matching assertion only (multiset
+// semantics): the identical later one stays told, in its own place.
+TEST_F(IntrospectTest, ToldAfterRetractingOneOfTwoIdenticalAssertions) {
+  Must(db_.CreateIndividual("Rocky"));
+  Must(db_.CreateIndividual("V1"));
+  Must(db_.AssertInd("Rocky", "(ALL thing-driven CAR)"));
+  Must(db_.AssertInd("Rocky", "(FILLS thing-driven V1)"));
+  Must(db_.AssertInd("Rocky", "(ALL thing-driven CAR)"));
+  Must(db_.RetractInd("Rocky", "(ALL thing-driven CAR)"));
+  EXPECT_EQ(Told("Rocky"),
+            "(AND (FILLS thing-driven V1) (ALL thing-driven CAR))");
+  Must(db_.RetractInd("Rocky", "(ALL thing-driven CAR)"));
+  EXPECT_EQ(Told("Rocky"), "(FILLS thing-driven V1)");
+  EXPECT_TRUE(db_.RetractInd("Rocky", "(ALL thing-driven CAR)").IsNotFound());
 }
 
 TEST_F(IntrospectTest, AspectParsing) {

@@ -261,8 +261,7 @@ TEST(LintKbTest, AnalyzeKbAndSnapshotAgree) {
   EXPECT_EQ(ids.count("C004"), 1u) << RenderText(direct);  // rule never fires
 
   KbEngine engine;
-  engine.PublishFrom(db.kb());
-  SnapshotPtr snap = engine.Publish();
+  SnapshotPtr snap = engine.PublishFrom(db.kb());
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(RenderText(AnalyzeSnapshot(*snap)), RenderText(direct));
 }

@@ -70,7 +70,7 @@ TEST(ObsParallelTest, BatchCounterTotalsMatchSerialOnWarmSnapshot) {
   bench::StandardWorkload w =
       bench::BuildStandardWorkload(&db, /*num_concepts=*/60,
                                    /*num_individuals=*/120, /*seed=*/42);
-  KbEngine engine;
+  KbEngine engine(KbEngine::Options{.num_threads = 8});
   engine.PublishFrom(db.kb());
   const std::vector<QueryRequest> requests = MakeRequests(w, 96, 0xC0FFEE);
 
@@ -84,7 +84,7 @@ TEST(ObsParallelTest, BatchCounterTotalsMatchSerialOnWarmSnapshot) {
   (void)engine.QueryBatch(requests, /*num_threads=*/1);
   obs::CounterArray after_serial = obs::ReadCounters();
 
-  (void)engine.QueryBatch(requests, /*num_threads=*/8);
+  (void)engine.QueryBatch(requests);
   obs::CounterArray after_parallel = obs::ReadCounters();
 
   for (size_t i = 0; i < obs::kNumCounters; ++i) {
@@ -102,14 +102,13 @@ TEST(ObsParallelTest, TotalsAreMonotoneAcrossConcurrentBatches) {
   bench::StandardWorkload w =
       bench::BuildStandardWorkload(&db, /*num_concepts=*/40,
                                    /*num_individuals=*/80, /*seed=*/7);
-  KbEngine engine;
+  KbEngine engine(KbEngine::Options{.num_threads = 8});
   engine.PublishFrom(db.kb());
   const std::vector<QueryRequest> requests = MakeRequests(w, 64, 0xBEEF);
 
   obs::CounterArray prev = obs::ReadCounters();
   for (size_t round = 0; round < 4; ++round) {
-    std::vector<QueryAnswer> answers =
-        engine.QueryBatch(requests, /*num_threads=*/8);
+    std::vector<QueryAnswer> answers = engine.QueryBatch(requests);
     ASSERT_EQ(answers.size(), requests.size());
     obs::CounterArray now = obs::ReadCounters();
     for (size_t i = 0; i < obs::kNumCounters; ++i) {

@@ -1,8 +1,9 @@
 // Differential harness for snapshot-isolated parallel serving.
 //
-// The contract under test (kb/kb_engine.h): a QueryBatch fanned across N
-// threads against one published epoch returns answers byte-identical to
-// serving the same requests serially against that epoch — for every N.
+// The contract under test (kb/kb_engine.h): a batch fanned across the pool
+// of an engine built with N threads, against one published epoch, returns
+// answers byte-identical to serving the same requests serially against
+// that epoch — for every N.
 // Workloads are generated deterministically (seeded SplitMix64, no
 // wall-clock anywhere), and the request mix covers every read entry
 // point: ask / ask-possible / ask-description, marked queries, path
@@ -108,8 +109,12 @@ TEST_F(ParallelDiffTest, BatchMatchesSerialAtEveryThreadCount) {
     expected.push_back(KbEngine::ServeQuery(snapshot_->kb(), r).Canonical());
   }
 
+  // One engine per serving concurrency (a pool is sized once, at
+  // construction), each fanning the batch over the same snapshot.
   for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-    std::vector<QueryAnswer> answers = engine_.QueryBatch(requests, threads);
+    KbEngine engine(KbEngine::Options{.num_threads = threads});
+    std::vector<QueryAnswer> answers =
+        engine.QueryBatchOn(*snapshot_, requests);
     ASSERT_EQ(answers.size(), requests.size());
     for (size_t i = 0; i < answers.size(); ++i) {
       EXPECT_EQ(answers[i].Canonical(), expected[i])
@@ -126,8 +131,9 @@ TEST_F(ParallelDiffTest, RepeatedParallelBatchesAreStable) {
 
   // Two runs at 8 threads: scheduling differs, caches are warmer the
   // second time — the bytes must not move.
-  std::vector<QueryAnswer> first = engine_.QueryBatch(requests, 8);
-  std::vector<QueryAnswer> second = engine_.QueryBatch(requests, 8);
+  KbEngine engine(KbEngine::Options{.num_threads = 8});
+  std::vector<QueryAnswer> first = engine.QueryBatchOn(*snapshot_, requests);
+  std::vector<QueryAnswer> second = engine.QueryBatchOn(*snapshot_, requests);
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].Canonical(), second[i].Canonical()) << "request#" << i;
@@ -139,12 +145,12 @@ TEST_F(ParallelDiffTest, IndependentClonesAnswerIdentically) {
   const std::vector<QueryRequest> requests =
       MakeRequests(workload_.schema, workload_.individuals, 80, 5);
 
-  // A second engine cloned from the same master must serve the same
+  // A second engine cloned from the same database must serve the same
   // bytes: epochs are value-faithful copies, ids and all.
   KbEngine other;
   other.PublishFrom(db_.kb());
-  std::vector<QueryAnswer> a = engine_.QueryBatch(requests, 4);
-  std::vector<QueryAnswer> b = other.QueryBatch(requests, 4);
+  std::vector<QueryAnswer> a = engine_.QueryBatch(requests);
+  std::vector<QueryAnswer> b = other.QueryBatch(requests);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].Canonical(), b[i].Canonical()) << "request#" << i;
@@ -154,7 +160,7 @@ TEST_F(ParallelDiffTest, IndependentClonesAnswerIdentically) {
 TEST_F(ParallelDiffTest, UnpublishedEngineFailsEveryRequest) {
   KbEngine fresh;
   std::vector<QueryRequest> requests(3);
-  std::vector<QueryAnswer> answers = fresh.QueryBatch(requests, 4);
+  std::vector<QueryAnswer> answers = fresh.QueryBatch(requests);
   ASSERT_EQ(answers.size(), 3u);
   for (const QueryAnswer& a : answers) {
     EXPECT_TRUE(a.status.IsNotFound()) << a.status.ToString();

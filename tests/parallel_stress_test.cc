@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "classic/database.h"
-#include "desc/parser.h"
 #include "kb/kb_engine.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -55,24 +54,6 @@ class ParallelStressTest : public ::testing::Test {
     ASSERT_TRUE(db_.CreateIndividual("Scratch").ok());
     ASSERT_TRUE(db_.CreateIndividual("ScratchFiller").ok());
     engine_.PublishFrom(db_.kb());
-  }
-
-  Status AssertByText(KnowledgeBase* kb, const std::string& ind_name,
-                      const std::string& expr) {
-    Symbol sym = kb->vocab().symbols().Intern(ind_name);
-    CLASSIC_ASSIGN_OR_RETURN(IndId ind, kb->vocab().FindIndividual(sym));
-    CLASSIC_ASSIGN_OR_RETURN(
-        DescPtr d, ParseDescriptionString(expr, &kb->vocab().symbols()));
-    return kb->AssertInd(ind, d);
-  }
-
-  Status RetractByText(KnowledgeBase* kb, const std::string& ind_name,
-                       const std::string& expr) {
-    Symbol sym = kb->vocab().symbols().Intern(ind_name);
-    CLASSIC_ASSIGN_OR_RETURN(IndId ind, kb->vocab().FindIndividual(sym));
-    CLASSIC_ASSIGN_OR_RETURN(
-        DescPtr d, ParseDescriptionString(expr, &kb->vocab().symbols()));
-    return kb->RetractInd(ind, d);
   }
 
   Database db_;
@@ -182,26 +163,17 @@ TEST_F(ParallelStressTest, ReadersStayConsistentWhileWriterPublishes) {
   // The writer: one epoch per iteration — create a marker individual,
   // recognize it under STRESS-MARK, and churn the scratch individual with
   // an assert/retract pair (retraction triggers full re-derivation, the
-  // heaviest write path).
+  // heaviest write path). It mutates its own database, then publishes it.
+  const std::string scratch_fill = "(FILLS stress-scratch-role ScratchFiller)";
   for (size_t k = 0; k < kEpochs; ++k) {
-    Status st = engine_.Mutate([&](KnowledgeBase* kb) -> Status {
-      const std::string name = StrCat("S-", k);
-      CLASSIC_ASSIGN_OR_RETURN(IndId ind, kb->vocab().CreateIndividual(name));
-      CLASSIC_ASSIGN_OR_RETURN(
-          DescPtr d,
-          ParseDescriptionString("STRESS-MARK", &kb->vocab().symbols()));
-      CLASSIC_RETURN_NOT_OK(kb->AssertInd(ind, d));
-      return Status::OK();
-    });
+    Status st = db_.CreateIndividual(StrCat("S-", k), "STRESS-MARK");
     ASSERT_TRUE(st.ok()) << st.ToString();
+    engine_.PublishFrom(db_.kb());
     if (k % 4 == 1) {
-      st = engine_.Mutate([&](KnowledgeBase* kb) -> Status {
-        CLASSIC_RETURN_NOT_OK(AssertByText(
-            kb, "Scratch", "(FILLS stress-scratch-role ScratchFiller)"));
-        return RetractByText(kb, "Scratch",
-                             "(FILLS stress-scratch-role ScratchFiller)");
-      });
+      st = db_.AssertInd("Scratch", scratch_fill);
+      if (st.ok()) st = db_.RetractInd("Scratch", scratch_fill);
       ASSERT_TRUE(st.ok()) << st.ToString();
+      engine_.PublishFrom(db_.kb());
     }
   }
   writer_done.store(true, std::memory_order_release);

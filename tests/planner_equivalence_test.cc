@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "classic/database.h"
@@ -102,7 +103,14 @@ class PlannerEquivalenceTest : public ::testing::Test {
   void Build(size_t concepts, size_t individuals, uint64_t seed) {
     workload_ = bench::BuildStandardWorkload(&db_, concepts, individuals,
                                              seed);
-    engine_.PublishFrom(db_.kb());
+    PublishAll();
+  }
+
+  /// Publishes db_ on every engine, so their epochs stay in step.
+  void PublishAll() {
+    for (KbEngine* engine : {&serial_, &four_, &eight_}) {
+      engine->PublishFrom(db_.kb());
+    }
   }
 
   /// Serves `requests` at 1, 4 and 8 threads. Every ask must equal
@@ -114,22 +122,22 @@ class PlannerEquivalenceTest : public ::testing::Test {
                     requests[i].as_of_epoch != 0 ? " (as-of)" : "", " [",
                     requests[i].text, "]");
     };
-    const std::vector<QueryAnswer> serial = engine_.QueryBatch(requests, 1);
+    const std::vector<QueryAnswer> serial = serial_.QueryBatch(requests, 1);
     ASSERT_EQ(serial.size(), requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
       const QueryRequest& r = requests[i];
       if (r.kind != QueryRequest::Kind::kAsk) continue;
       SnapshotPtr snap = r.as_of_epoch != 0
-                             ? engine_.SnapshotAt(r.as_of_epoch)
-                             : engine_.snapshot();
+                             ? serial_.SnapshotAt(r.as_of_epoch)
+                             : serial_.snapshot();
       ASSERT_NE(snap, nullptr) << where(i);
       ASSERT_TRUE(serial[i].status.ok())
           << where(i) << ": " << serial[i].status.ToString();
       EXPECT_EQ(serial[i].values, NaiveAsk(snap->kb(), r.text)) << where(i);
     }
-    for (size_t threads : {size_t{4}, size_t{8}}) {
-      const std::vector<QueryAnswer> parallel =
-          engine_.QueryBatch(requests, threads);
+    for (const auto& [threads, engine] :
+         {std::pair<size_t, KbEngine*>{4, &four_}, {8, &eight_}}) {
+      const std::vector<QueryAnswer> parallel = engine->QueryBatch(requests);
       ASSERT_EQ(parallel.size(), serial.size());
       for (size_t i = 0; i < parallel.size(); ++i) {
         EXPECT_EQ(parallel[i].Canonical(), serial[i].Canonical())
@@ -139,7 +147,10 @@ class PlannerEquivalenceTest : public ::testing::Test {
   }
 
   Database db_;
-  KbEngine engine_;
+  /// One engine per thread count: a pool is sized once, at construction.
+  KbEngine serial_{KbEngine::Options{.num_threads = 1}};
+  KbEngine four_{KbEngine::Options{.num_threads = 4}};
+  KbEngine eight_{KbEngine::Options{.num_threads = 8}};
   bench::StandardWorkload workload_;
 };
 
@@ -175,15 +186,15 @@ TEST_F(PlannerEquivalenceTest, AgreementSurvivesRetractionAndAsOf) {
     if (db_.AssertInd(ind, desc).ok()) told.emplace_back(ind, desc);
   }
   ASSERT_GT(told.size(), 0u);
-  engine_.PublishFrom(db_.kb());
-  const uint64_t epoch1 = engine_.epoch();
+  PublishAll();
+  const uint64_t epoch1 = serial_.epoch();
 
   size_t retracted = 0;
   for (const auto& [ind, desc] : told) {
     if (db_.RetractInd(ind, desc).ok()) ++retracted;
   }
   ASSERT_GT(retracted, 0u);
-  engine_.PublishFrom(db_.kb());
+  PublishAll();
 
   std::vector<QueryRequest> requests =
       MakeRequests(workload_.schema, workload_.individuals, 100, 0xCAFE);

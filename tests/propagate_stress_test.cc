@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "classic/database.h"
-#include "desc/parser.h"
 #include "kb/kb_engine.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -66,22 +65,15 @@ TEST(PropagateStress, BulkLoadsRaceSnapshotReaders) {
   options.num_threads = 4;
   KbEngine engine(options);
 
-  Must(engine.Mutate([](KnowledgeBase* kb) -> Status {
-    SymbolTable* symbols = &kb->vocab().symbols();
-    CLASSIC_RETURN_NOT_OK(kb->DefineRole("r0").status());
-    CLASSIC_RETURN_NOT_OK(kb->DefineRole("r1").status());
-    CLASSIC_ASSIGN_OR_RETURN(
-        DescPtr marked,
-        ParseDescriptionString("(PRIMITIVE CLASSIC-THING marked)", symbols));
-    CLASSIC_RETURN_NOT_OK(kb->DefineConcept("MARKED", marked).status());
-    CLASSIC_ASSIGN_OR_RETURN(
-        DescPtr d0,
-        ParseDescriptionString(
-            "(AND (PRIMITIVE CLASSIC-THING d0) (AT-MOST 8 r0))", symbols));
-    CLASSIC_RETURN_NOT_OK(kb->DefineConcept("D0", d0).status());
-    return Status::OK();
-  }));
+  // The single writer mutates its own database and publishes it.
+  Database db;
+  Must(db.DefineRole("r0"));
+  Must(db.DefineRole("r1"));
+  Must(db.DefineConcept("MARKED", "(PRIMITIVE CLASSIC-THING marked)"));
+  Must(db.DefineConcept("D0",
+                        "(AND (PRIMITIVE CLASSIC-THING d0) (AT-MOST 8 r0))"));
   if (HasFatalFailure()) return;
+  engine.PublishFrom(db.kb());
 
   std::atomic<bool> writer_done{false};
   std::atomic<bool> failed{false};
@@ -141,24 +133,14 @@ TEST(PropagateStress, BulkLoadsRaceSnapshotReaders) {
 
   Rng rng(99);
   for (size_t round = 0; round < kRounds; ++round) {
-    Status st = engine.Mutate([&](KnowledgeBase* kb) -> Status {
-      std::vector<std::string> names;
-      std::vector<std::pair<IndId, DescPtr>> batch;
-      for (size_t i = 0; i < kIslandsPerRound * 3; ++i) {
-        const std::string name = StrCat("R", round, "-I", i);
-        CLASSIC_RETURN_NOT_OK(kb->CreateIndividual(name).status());
-        names.push_back(name);
-      }
-      for (auto& [name, expr] : IslandBatch(names, round, &rng)) {
-        Symbol sym = kb->vocab().symbols().Intern(name);
-        CLASSIC_ASSIGN_OR_RETURN(IndId ind, kb->vocab().FindIndividual(sym));
-        CLASSIC_ASSIGN_OR_RETURN(
-            DescPtr d, ParseDescriptionString(expr, &kb->vocab().symbols()));
-        batch.emplace_back(ind, std::move(d));
-      }
-      return kb->AssertIndBatch(batch);
-    });
+    std::vector<std::string> names;
+    for (size_t i = 0; i < kIslandsPerRound * 3; ++i) {
+      names.push_back(StrCat("R", round, "-I", i));
+      Must(db.CreateIndividual(names.back()));
+    }
+    Status st = db.BulkAssert(IslandBatch(names, round, &rng));
     ASSERT_TRUE(st.ok()) << "round " << round << ": " << st.ToString();
+    engine.PublishFrom(db.kb());
   }
   writer_done.store(true, std::memory_order_release);
   for (std::thread& t : threads) t.join();

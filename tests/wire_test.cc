@@ -88,7 +88,7 @@ TEST(WireTest, RequestFromSexprRejectsMalformedForms) {
            "(request)",                     // no kind
            "(request ask)",                 // no text
            "(request ask 3)",               // text not a string
-           "(request mutate \"x\")",        // writer op, not a query kind
+           "(request publish \"x\")",       // writer op, not a query kind
            "(request nope \"x\")",          // unknown kind
            "(request ask \"x\" 0)",         // epoch must be positive
            "(request ask \"x\" -2)",        // negative epoch

@@ -7,18 +7,18 @@
 //   --port=N           TCP port; 0 = ephemeral, printed on stdout
 //   --max-inflight=N   admission bound across all connections (256)
 //   --max-batch=N      largest pipelined burst dispatched as one batch (64)
-//   --batch-threads=N  per-batch query fan-out (1)
 //   --self-check       serve on an ephemeral port, run an in-process
 //                      client smoke against it, exit 0 on success
 //
 // Replays each `.classic` / `.clq` FILE into one scratch database (later
 // files see earlier files' definitions), publishes the result as epoch 1
-// of a KbEngine, and serves it until killed. The wire protocol is
-// read-only: a client can pin epochs and ask queries, never mutate.
+// of a KbEngine, and serves it until killed. Each connection serves its
+// batches on its own thread. The wire protocol is read-only: a client
+// can pin epochs and ask queries, never mutate.
 //
-// Prints exactly one machine-readable line once serving:
+// Prints exactly one machine-readable line once serving, from which a
+// script started with --port=0 can read the ephemeral port:
 //   classic_serve: listening addr=<ADDR> port=<PORT> epoch=<E>
-// (bench/run_serving_bench.sh parses it to find an ephemeral port.)
 //
 // Exit status: 0 = clean shutdown / self-check passed, 1 = self-check
 // failed, 2 = operational error (unreadable file, bind failure, usage).
@@ -48,8 +48,8 @@ using classic::serve::Server;
 int Usage() {
   std::fprintf(stderr,
                "usage: classic_serve [--bind=ADDR] [--port=N] "
-               "[--max-inflight=N] [--max-batch=N] [--batch-threads=N] "
-               "[--self-check] FILE...\n");
+               "[--max-inflight=N] [--max-batch=N] [--self-check] "
+               "FILE...\n");
   return 2;
 }
 
@@ -148,9 +148,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--max-batch=", 0) == 0 && ParseSize(arg, 12, &n) &&
                n > 0) {
       options.max_batch = n;
-    } else if (arg.rfind("--batch-threads=", 0) == 0 &&
-               ParseSize(arg, 16, &n) && n > 0) {
-      options.batch_threads = n;
     } else if (arg == "--self-check") {
       self_check = true;
       options.port = 0;  // never collide with a real deployment
@@ -170,7 +167,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  KbEngine engine(KbEngine::Options{.num_threads = options.batch_threads});
+  // The server serves every batch on its connection thread, so the
+  // engine's pool needs no workers.
+  KbEngine engine(KbEngine::Options{.num_threads = 1});
   engine.PublishFrom(db.kb());
 
   Server server(&engine, options);
