@@ -4,10 +4,9 @@
 //
 //   - BM_QueryBatch/T: wall-clock time to serve a fixed mixed batch on
 //     an engine built with a serving concurrency of T threads, against
-//     one published epoch. The 1 -> 8 scaling factor is the headline number
-//     (bench/run_parallel_bench.sh derives it into BENCH_parallel.json);
-//     on a single-core container it degenerates to ~1x, which the JSON
-//     records alongside the detected core count.
+//     one published epoch. The 1 -> T scaling factors are the headline
+//     numbers (bench/run_all.sh derives them into BENCH_parallel.json);
+//     they are bounded by the core count its provenance block records.
 //   - BM_Publish/N: cost of copying + freezing + installing a new epoch
 //     on an N-individual database (N in {1k, 8k, 64k}), i.e. the
 //     writer-side price of snapshot isolation. Publication is

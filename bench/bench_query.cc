@@ -117,8 +117,9 @@ BENCHMARK(BM_QueryIndexOnly)->Arg(512)->Arg(2048);
 // that lie in the query's classified parent. The non-selective query
 // offers no posting (AT-LEAST never prunes), so the same loop streams
 // the parent's whole extension and tests every member: the O(extension)
-// work a selective query must never do. scripts/check_query_cost.py
-// guards the ratio non-selective/selective at 100k individuals.
+// work a selective query must never do. scripts/check_cost.py guards the
+// selective query at 100k individuals against its BENCH_core.json
+// baseline and the ratio non-selective/selective (at least 10x).
 
 struct PlannerFixture {
   Database db;

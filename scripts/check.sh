@@ -7,14 +7,16 @@
 # the build), the observability gates (a -DCLASSIC_OBS=OFF build
 # proving the instrumentation compiles out cleanly, and classic_stats
 # --json over every shipped program — which fails on any erroring form —
-# validated against the golden schema), the planner gates (the
-# (explain ...) golden over the university example, and the selective
-# query-cost guard pinning the selective vs non-selective gap at 100k
-# individuals),
-# the serving gates (a quick loadgen run checked against the
-# BENCH_serving.json baseline, the wire-benchmark smoke test comparing
-# every wire answer with the in-process one, and the server smoke under
-# ASan), the store suites under ASan (copy-on-write values shared across
+# validated against the golden schema), the (explain ...) golden over
+# the university example, the cost gates (scripts/check_cost.py:
+# BM_Publish/1024, BM_BulkLoad/1024, BM_QuerySelectiveIndexed/100000 and
+# serve_loadgen's open-loop p50 against the committed BENCH_*.json
+# baselines, which must match this build's provenance, plus the
+# selective query's >=10x lead over the non-selective one at 100k
+# individuals; each gate must also fail against baselines 2x better),
+# the serving gates (the wire-benchmark smoke test comparing every wire
+# answer with the in-process one, and the server smoke under ASan), the
+# store suites under ASan (copy-on-write values shared across
 # epochs, epochs freed after unlock), the normal-form suites under ASan
 # (owned forms freed during load and propagation), the s-expression
 # lexer's suites (wire, reader, fuzz) under ASan, the taxonomy suites
@@ -76,34 +78,47 @@ if [[ "$TSAN_ONLY" -eq 0 ]]; then
   ./build/tools/classic_stats --format=json examples/*.classic examples/*.clq |
     python3 scripts/check_stats_schema.py
 
-  echo "== perf: publish-cost regression guard (smoke-mode bench)"
-  cmake --build build -j"$JOBS" --target bench_parallel
-  ./build/bench/bench_parallel --benchmark_filter='BM_Publish/1024$' \
-      --benchmark_format=json --benchmark_min_time=0.05 2> /dev/null |
-    python3 scripts/check_publish_cost.py
-
-  echo "== perf: bulk-load cost regression guard (smoke-mode bench)"
-  cmake --build build -j"$JOBS" --target bench_assert
-  # min_time must be long enough for several iterations: a single cold
-  # iteration is dominated by first-touch warm-up (3-4x steady state).
-  ./build/bench/bench_assert --benchmark_filter='BM_BulkLoad/1024$' \
-      --benchmark_format=json --benchmark_min_time=0.5 2> /dev/null |
-    python3 scripts/check_bulkload_cost.py
-
   echo "== planner: (explain ...) golden output on the university example"
   ./build/tests/explain_golden_test
 
-  echo "== perf: selective-query cost guard (selective vs non-selective at 100k)"
-  cmake --build build -j"$JOBS" --target bench_query
+  # The cost gates: each stage measures what bench/run_all.sh records
+  # (the median of 5 repetitions; serve_loadgen's default offered rate,
+  # 13.2k rps, and duration), and scripts/check_cost.py prints the fresh
+  # figure, its baseline in the committed BENCH_*.json and its limit.
+  reps=(--benchmark_format=json --benchmark_repetitions=5
+        --benchmark_report_aggregates_only=true)
+
+  echo "== perf: publish cost (BM_Publish/1024 against BENCH_parallel.json)"
+  ./build/bench/bench_parallel --benchmark_filter='BM_Publish/1024$' \
+      "${reps[@]}" 2> /dev/null | python3 scripts/check_cost.py build
+
+  echo "== perf: bulk-load cost (BM_BulkLoad/1024 against BENCH_core.json)"
+  ./build/bench/bench_assert --benchmark_filter='BM_BulkLoad/1024$' \
+      "${reps[@]}" 2> /dev/null | python3 scripts/check_cost.py build
+
+  echo "== perf: selective-query cost (BM_QuerySelectiveIndexed/100000 against BENCH_core.json, >=10x faster than the non-selective query)"
   ./build/bench/bench_query \
       --benchmark_filter='BM_Query(SelectiveIndexed|NonSelective)/100000$' \
-      --benchmark_format=json --benchmark_min_time=0.05 2> /dev/null |
-    python3 scripts/check_query_cost.py
+      "${reps[@]}" 2> /dev/null | python3 scripts/check_cost.py build
 
-  echo "== serve: loadgen vs BENCH_serving.json baseline"
-  ./build/tools/serve_loadgen --file=examples/university.classic \
-      --requests=2000 --open-seconds=2 --json |
-    python3 scripts/check_serving_cost.py
+  echo "== serve: open-loop p50 at 13.2k rps offered (against BENCH_serving.json)"
+  ./build/tools/serve_loadgen --file=examples/university.classic --json |
+    python3 scripts/check_cost.py build
+
+  echo "== perf: every cost gate fails against baselines 2x better"
+  # Each committed baseline file, read as a report, must fail against a
+  # copy with every gated figure halved, so a gate that stopped failing
+  # (a factor of 2 or more, a comparison that no longer runs) fails here.
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' EXIT
+  (cd scripts && python3 -c "import check_cost; check_cost.write_2x_better('$tmp')")
+  for f in BENCH_core.json BENCH_parallel.json BENCH_serving.json; do
+    if out="$(python3 scripts/check_cost.py build "$tmp" < "$f" 2>&1)"; then
+      echo "$out" >&2
+      echo "check.sh: the gates on $f pass against baselines 2x better" >&2
+      exit 1
+    fi
+  done
 
   echo "== perfbench: wire-benchmark smoke (tiny KBs, both workloads and passes)"
   # Byte-compares every wire answer with the in-process answer and checks

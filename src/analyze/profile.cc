@@ -56,13 +56,6 @@ std::string EdgeArrow(const DepEdge& e) {
 
 }  // namespace
 
-double SelectivityOf(const NormalForm& nf, const Vocabulary& vocab) {
-  // The shared implementation lives with the query planner, which uses
-  // the same prior for residual-cardinality estimates; the profile JSON
-  // stays byte-identical by construction.
-  return StaticSelectivity(nf, vocab);
-}
-
 std::string RenderProfileJson(const KnowledgeBase& kb,
                               const SchemaGraph& graph,
                               const AbstractSchema& abs,
@@ -87,7 +80,7 @@ std::string RenderProfileJson(const KnowledgeBase& kb,
     first_concept = false;
     out += StrCat("    {\"name\": \"",
                   JsonEscape(vocab.symbols().Name(info.name)),
-                  "\", \"selectivity\": ", JsonNumber(SelectivityOf(state, vocab)),
+                  "\", \"selectivity\": ", JsonNumber(StaticSelectivity(state, vocab)),
                   ", \"doomed\": ", JsonBool(state.incoherent()));
 
     out += ", \"parents\": [";

@@ -17,18 +17,6 @@
 
 namespace classic::analyze {
 
-/// \brief Static instance-selectivity estimate of a closed concept state:
-/// the modeled fraction of a generic individual population recognized as
-/// an instance. Purely structural (no extension is consulted): every
-/// primitive atom halves the estimate (quarters it for disjoint-group
-/// atoms, which partition their siblings), an enumeration caps it at
-/// |enum| / 1024, required roles halve, bounded roles take 3/4, a value
-/// restriction averages in its own selectivity, and each TEST or
-/// co-reference halves. Incoherent states have selectivity 0. The exact
-/// constants are arbitrary; what matters is the deterministic relative
-/// order (more constrained => smaller).
-double SelectivityOf(const NormalForm& nf, const Vocabulary& vocab);
-
 /// \brief Renders the schema profile as deterministic JSON (trailing
 /// newline included). `file_label` is echoed into the "file" field.
 /// `graph` and `abs` are the analysis results for `kb`.

@@ -180,15 +180,6 @@ Result<IndId> Vocabulary::CreateIndividual(std::string_view name) {
   return id;
 }
 
-IndId Vocabulary::CreateAnonymousIndividual() {
-  std::lock_guard<std::mutex> lock(ind_mutex_);
-  IndId id = static_cast<IndId>(inds_.size());
-  Symbol sym = symbols_.Intern(StrCat("__anon", id));
-  inds_.push_back({IndKind::kClassic, sym, std::nullopt});
-  ind_by_name_.emplace(sym, id);
-  return id;
-}
-
 IndId Vocabulary::InternHostValue(const HostValue& v) const {
   std::lock_guard<std::mutex> lock(ind_mutex_);
   auto it = host_ind_by_value_.find(v);

@@ -173,9 +173,6 @@ class Vocabulary {
   /// \brief Creates a named CLASSIC individual (paper: create-ind).
   Result<IndId> CreateIndividual(std::string_view name);
 
-  /// \brief Creates an anonymous CLASSIC individual.
-  IndId CreateAnonymousIndividual();
-
   /// \brief Interns a host value as an individual (idempotent).
   /// Logically const (thread-safe): normalizing a query that mentions a
   /// literal interns it without changing database meaning.

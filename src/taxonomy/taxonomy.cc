@@ -294,28 +294,4 @@ std::vector<NodeId> Taxonomy::Descendants(NodeId node) const {
   return out;
 }
 
-std::vector<NodeId> Taxonomy::TopologicalNodes() const {
-  const size_t n = nodes_.size();
-  std::vector<size_t> pending(n, 0);
-  // Kahn's algorithm over the parent relation with an ordered frontier:
-  // a std::set pops the lowest ready id first, which pins one canonical
-  // order for a given DAG.
-  std::set<NodeId> ready;
-  for (NodeId v = 0; v < n; ++v) {
-    pending[v] = nodes_[v].parents.size();
-    if (pending[v] == 0) ready.insert(v);
-  }
-  std::vector<NodeId> out;
-  out.reserve(n);
-  while (!ready.empty()) {
-    NodeId v = *ready.begin();
-    ready.erase(ready.begin());
-    out.push_back(v);
-    for (NodeId c : nodes_[v].children) {
-      if (--pending[c] == 0) ready.insert(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace classic

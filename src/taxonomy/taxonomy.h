@@ -171,12 +171,6 @@ class Taxonomy {
     }
   }
 
-  /// \brief Every node, ancestors before descendants (deterministic:
-  /// among nodes whose parents are all emitted, lowest id first). The
-  /// whole-program analyzer folds inherited constraints in one sweep
-  /// over this order.
-  std::vector<NodeId> TopologicalNodes() const;
-
   /// Nodes with no parents (children of the implicit THING root).
   const std::set<NodeId>& roots() const { return roots_; }
   size_t num_nodes() const { return nodes_.size(); }
