@@ -136,7 +136,7 @@ Result<std::string> Interpreter::Execute(const sexpr::Value& op) {
                              ParseQueryString(Rest(op, 1), &symbols));
     CLASSIC_ASSIGN_OR_RETURN(DescriptionAnswer a,
                              SummarizeExtension(db_->kb(), q));
-    return a.description->ToString(symbols);
+    return a.normal_form->ToString(db_->kb().vocab());
   }
 
   if (head == "subsumes" || head == "equivalent") {

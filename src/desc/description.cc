@@ -137,81 +137,129 @@ size_t Description::TreeSize() const {
 
 namespace {
 
-std::string IndRefToString(const IndRef& r, const SymbolTable& symbols) {
-  if (r.is_named()) return symbols.Name(r.name());
-  return r.host().ToString();
+void AppendIndRef(const IndRef& r, const SymbolTable& symbols,
+                  std::string* out) {
+  if (r.is_named()) {
+    out->append(symbols.Name(r.name()));
+  } else {
+    out->append(r.host().ToString());
+  }
 }
 
-std::string PathToString(const std::vector<Symbol>& path,
-                         const SymbolTable& symbols) {
-  std::vector<std::string> parts;
-  parts.reserve(path.size());
-  for (Symbol s : path) parts.push_back(symbols.Name(s));
-  return "(" + Join(parts, " ") + ")";
+void AppendPath(const std::vector<Symbol>& path, const SymbolTable& symbols,
+                std::string* out) {
+  out->push_back('(');
+  for (size_t i = 0; i < path.size(); ++i) {
+    if (i > 0) out->push_back(' ');
+    out->append(symbols.Name(path[i]));
+  }
+  out->push_back(')');
 }
 
 }  // namespace
 
 std::string Description::ToString(const SymbolTable& symbols) const {
+  std::string out;
+  AppendTo(symbols, &out);
+  return out;
+}
+
+void Description::AppendTo(const SymbolTable& symbols,
+                           std::string* out) const {
   switch (kind_) {
     case DescKind::kThing:
-      return "THING";
+      out->append("THING");
+      return;
     case DescKind::kNothing:
-      return "NOTHING";
+      out->append("NOTHING");
+      return;
     case DescKind::kClassicThing:
-      return "CLASSIC-THING";
+      out->append("CLASSIC-THING");
+      return;
     case DescKind::kHostThing:
-      return "HOST-THING";
+      out->append("HOST-THING");
+      return;
     case DescKind::kBuiltin:
-      return BuiltinConceptName(builtin_);
+      out->append(BuiltinConceptName(builtin_));
+      return;
     case DescKind::kConceptName:
-      return symbols.Name(name_);
+      out->append(symbols.Name(name_));
+      return;
     case DescKind::kPrimitive:
-      return StrCat("(PRIMITIVE ", child_->ToString(symbols), " ",
-                    symbols.Name(name_), ")");
+      out->append("(PRIMITIVE ");
+      child_->AppendTo(symbols, out);
+      out->push_back(' ');
+      out->append(symbols.Name(name_));
+      out->push_back(')');
+      return;
     case DescKind::kDisjointPrimitive:
-      return StrCat("(DISJOINT-PRIMITIVE ", child_->ToString(symbols), " ",
-                    symbols.Name(group_), " ", symbols.Name(name_), ")");
-    case DescKind::kOneOf: {
-      std::string out = "(ONE-OF";
+      out->append("(DISJOINT-PRIMITIVE ");
+      child_->AppendTo(symbols, out);
+      out->push_back(' ');
+      out->append(symbols.Name(group_));
+      out->push_back(' ');
+      out->append(symbols.Name(name_));
+      out->push_back(')');
+      return;
+    case DescKind::kOneOf:
+      out->append("(ONE-OF");
       for (const auto& m : members_) {
-        out += ' ';
-        out += IndRefToString(m, symbols);
+        out->push_back(' ');
+        AppendIndRef(m, symbols, out);
       }
-      return out + ")";
-    }
+      out->push_back(')');
+      return;
     case DescKind::kAll:
-      return StrCat("(ALL ", symbols.Name(role_), " ",
-                    child_->ToString(symbols), ")");
+      out->append("(ALL ");
+      out->append(symbols.Name(role_));
+      out->push_back(' ');
+      child_->AppendTo(symbols, out);
+      out->push_back(')');
+      return;
     case DescKind::kAtLeast:
-      return StrCat("(AT-LEAST ", bound_, " ", symbols.Name(role_), ")");
     case DescKind::kAtMost:
-      return StrCat("(AT-MOST ", bound_, " ", symbols.Name(role_), ")");
+      out->append(kind_ == DescKind::kAtLeast ? "(AT-LEAST " : "(AT-MOST ");
+      AppendInteger(bound_, out);
+      out->push_back(' ');
+      out->append(symbols.Name(role_));
+      out->push_back(')');
+      return;
     case DescKind::kSameAs:
-      return StrCat("(SAME-AS ", PathToString(path1_, symbols), " ",
-                    PathToString(path2_, symbols), ")");
-    case DescKind::kFills: {
-      std::string out = StrCat("(FILLS ", symbols.Name(role_));
+      out->append("(SAME-AS ");
+      AppendPath(path1_, symbols, out);
+      out->push_back(' ');
+      AppendPath(path2_, symbols, out);
+      out->push_back(')');
+      return;
+    case DescKind::kFills:
+      out->append("(FILLS ");
+      out->append(symbols.Name(role_));
       for (const auto& m : members_) {
-        out += ' ';
-        out += IndRefToString(m, symbols);
+        out->push_back(' ');
+        AppendIndRef(m, symbols, out);
       }
-      return out + ")";
-    }
+      out->push_back(')');
+      return;
     case DescKind::kClose:
-      return StrCat("(CLOSE ", symbols.Name(role_), ")");
-    case DescKind::kAnd: {
-      std::string out = "(AND";
+      out->append("(CLOSE ");
+      out->append(symbols.Name(role_));
+      out->push_back(')');
+      return;
+    case DescKind::kAnd:
+      out->append("(AND");
       for (const auto& c : conjuncts_) {
-        out += ' ';
-        out += c->ToString(symbols);
+        out->push_back(' ');
+        c->AppendTo(symbols, out);
       }
-      return out + ")";
-    }
+      out->push_back(')');
+      return;
     case DescKind::kTest:
-      return StrCat("(TEST ", symbols.Name(name_), ")");
+      out->append("(TEST ");
+      out->append(symbols.Name(name_));
+      out->push_back(')');
+      return;
   }
-  return "?";
+  out->push_back('?');
 }
 
 }  // namespace classic

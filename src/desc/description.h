@@ -141,6 +141,8 @@ class Description {
 
   /// \brief Renders to concrete syntax using `symbols` for names.
   std::string ToString(const SymbolTable& symbols) const;
+  /// \brief ToString, appended to `*out`: one buffer for the whole tree.
+  void AppendTo(const SymbolTable& symbols, std::string* out) const;
 
  protected:
   explicit Description(DescKind kind) : kind_(kind) {}

@@ -1,6 +1,7 @@
 #include "desc/normal_form.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "desc/description.h"
 #include "util/string_util.h"
@@ -510,8 +511,52 @@ NormalFormPtr JoinNormalForms(const NormalForm& a, const NormalForm& b,
 }
 
 // --- Rendering back to descriptions ---------------------------------------
+//
+// ToDescription builds the Description of a form; ToString writes that
+// Description's text straight into one buffer. Both emit the same parts in
+// the same order: the atoms no other atom of the form implies, the
+// enumeration, per role (ascending RoleId) AT-LEAST, AT-MOST, FILLS and
+// ALL, the tests, then one SAME-AS per non-leading path of each
+// co-reference class; no part is THING, one part stands alone, and two or
+// more are wrapped in (AND ...).
 
 namespace {
+
+/// Implications re-derive an implied atom, so only the others are printed.
+bool ImpliedByAnother(const IdSet<AtomId>& atoms, AtomId a,
+                      const Vocabulary& vocab) {
+  return std::any_of(atoms.begin(), atoms.end(), [&](AtomId b) {
+    const auto& imp = vocab.atom(b).implies;
+    return b != a && std::find(imp.begin(), imp.end(), a) != imp.end();
+  });
+}
+
+/// The built-in concept that `a` stands for, if any.
+std::optional<BuiltinConcept> BuiltinOf(const Vocabulary& vocab, AtomId a) {
+  for (BuiltinConcept b :
+       {BuiltinConcept::kInteger, BuiltinConcept::kReal,
+        BuiltinConcept::kNumber, BuiltinConcept::kString,
+        BuiltinConcept::kBoolean}) {
+    if (vocab.builtin_atom(b) == a) return b;
+  }
+  return std::nullopt;
+}
+
+/// Known fillers imply their own count (unique names), so FILLS states it.
+bool PrintsAtLeast(const RoleRestriction& rr) {
+  return rr.at_least > rr.fillers.size();
+}
+
+/// Closure is always re-derivable from AT-MOST + FILLS (Tighten closes a
+/// role whose bound is reached), so CLOSE never needs printing — it is not
+/// a concept constructor. An attribute's AT-MOST 1 is declared, not stated.
+bool PrintsAtMost(const RoleRestriction& rr, bool attribute) {
+  return rr.at_most != kUnbounded && !(attribute && rr.at_most == 1);
+}
+
+bool PrintsAll(const RoleRestriction& rr) {
+  return rr.value_restriction && !rr.value_restriction->IsThing();
+}
 
 IndRef IndRefOf(const Vocabulary& vocab, IndId id) {
   const IndInfo& info = vocab.individual(id);
@@ -522,11 +567,8 @@ IndRef IndRefOf(const Vocabulary& vocab, IndId id) {
 DescPtr AtomToDescription(const Vocabulary& vocab, AtomId a) {
   if (a == vocab.classic_thing_atom()) return Description::ClassicThing();
   if (a == vocab.host_thing_atom()) return Description::HostThing();
-  for (BuiltinConcept b :
-       {BuiltinConcept::kInteger, BuiltinConcept::kReal,
-        BuiltinConcept::kNumber, BuiltinConcept::kString,
-        BuiltinConcept::kBoolean}) {
-    if (vocab.builtin_atom(b) == a) return Description::Builtin(b);
+  if (std::optional<BuiltinConcept> b = BuiltinOf(vocab, a)) {
+    return Description::Builtin(*b);
   }
   const AtomInfo& info = vocab.atom(a);
   if (info.group != kNoSymbol) {
@@ -534,6 +576,147 @@ DescPtr AtomToDescription(const Vocabulary& vocab, AtomId a) {
                                           info.name);
   }
   return Description::Primitive(Description::Thing(), info.name);
+}
+
+void AppendIndividual(const Vocabulary& vocab, IndId id, std::string* out) {
+  const IndInfo& info = vocab.individual(id);
+  if (info.kind == IndKind::kHost) {
+    out->append(info.host->ToString());
+  } else {
+    out->append(vocab.symbols().Name(info.name));
+  }
+}
+
+void AppendAtom(const Vocabulary& vocab, AtomId a, std::string* out) {
+  if (a == vocab.classic_thing_atom()) {
+    out->append("CLASSIC-THING");
+    return;
+  }
+  if (a == vocab.host_thing_atom()) {
+    out->append("HOST-THING");
+    return;
+  }
+  if (std::optional<BuiltinConcept> b = BuiltinOf(vocab, a)) {
+    out->append(BuiltinConceptName(*b));
+    return;
+  }
+  const AtomInfo& info = vocab.atom(a);
+  if (info.group != kNoSymbol) {
+    out->append("(DISJOINT-PRIMITIVE THING ");
+    out->append(vocab.symbols().Name(info.group));
+  } else {
+    out->append("(PRIMITIVE THING");
+  }
+  out->push_back(' ');
+  out->append(vocab.symbols().Name(info.name));
+  out->push_back(')');
+}
+
+void AppendRolePath(const Vocabulary& vocab, const RolePath& path,
+                    std::string* out) {
+  out->push_back('(');
+  for (size_t i = 0; i < path.size(); ++i) {
+    if (i > 0) out->push_back(' ');
+    out->append(vocab.symbols().Name(vocab.role(path[i]).name));
+  }
+  out->push_back(')');
+}
+
+void AppendForm(const NormalForm& nf, const Vocabulary& vocab,
+                std::string* out) {
+  if (nf.incoherent()) {
+    out->append("NOTHING");
+    return;
+  }
+  const SymbolTable& symbols = vocab.symbols();
+  // Every part follows a space behind an "(AND" written up front; the end
+  // takes the frame off again when fewer than two parts were written.
+  const size_t start = out->size();
+  size_t parts = 0;
+  out->append("(AND");
+  auto part = [&](const char* opening) {
+    ++parts;
+    out->push_back(' ');
+    out->append(opening);
+  };
+
+  for (AtomId a : nf.atoms()) {
+    if (ImpliedByAnother(nf.atoms(), a, vocab)) continue;
+    ++parts;
+    out->push_back(' ');
+    AppendAtom(vocab, a, out);
+  }
+
+  if (const IdSet<IndId>* members = nf.enumeration()) {
+    part("(ONE-OF");
+    for (IndId i : *members) {
+      out->push_back(' ');
+      AppendIndividual(vocab, i, out);
+    }
+    out->push_back(')');
+  }
+
+  for (const auto& [role_id, rr] : nf.roles()) {
+    const RoleInfo& role = vocab.role(role_id);
+    const std::string& name = symbols.Name(role.name);
+    if (PrintsAtLeast(rr)) {
+      part("(AT-LEAST ");
+      AppendInteger(rr.at_least, out);
+      out->push_back(' ');
+      out->append(name);
+      out->push_back(')');
+    }
+    if (PrintsAtMost(rr, role.attribute)) {
+      part("(AT-MOST ");
+      AppendInteger(rr.at_most, out);
+      out->push_back(' ');
+      out->append(name);
+      out->push_back(')');
+    }
+    if (!rr.fillers.empty()) {
+      part("(FILLS ");
+      out->append(name);
+      for (IndId f : rr.fillers) {
+        out->push_back(' ');
+        AppendIndividual(vocab, f, out);
+      }
+      out->push_back(')');
+    }
+    if (PrintsAll(rr)) {
+      part("(ALL ");
+      out->append(name);
+      out->push_back(' ');
+      AppendForm(*rr.value_restriction, vocab, out);
+      out->push_back(')');
+    }
+  }
+
+  for (Symbol t : nf.tests()) {
+    part("(TEST ");
+    out->append(symbols.Name(t));
+    out->push_back(')');
+  }
+
+  if (!nf.coref().empty()) {
+    for (const auto& cls : nf.coref().CanonicalClasses()) {
+      for (size_t i = 1; i < cls.size(); ++i) {
+        part("(SAME-AS ");
+        AppendRolePath(vocab, cls[0], out);
+        out->push_back(' ');
+        AppendRolePath(vocab, cls[i], out);
+        out->push_back(')');
+      }
+    }
+  }
+
+  if (parts == 0) {
+    out->resize(start);
+    out->append("THING");
+  } else if (parts == 1) {
+    out->erase(start, 5);  // "(AND "
+  } else {
+    out->push_back(')');
+  }
 }
 
 }  // namespace
@@ -544,13 +727,8 @@ DescPtr NormalForm::ToDescription(const Vocabulary& vocab) const {
   }
   std::vector<DescPtr> parts;
 
-  // Emit only non-implied atoms; implications re-derive the rest.
   for (AtomId a : atoms_) {
-    auto implies_a = [&](AtomId b) {
-      const auto& imp = vocab.atom(b).implies;
-      return b != a && std::find(imp.begin(), imp.end(), a) != imp.end();
-    };
-    if (std::none_of(atoms_.begin(), atoms_.end(), implies_a)) {
+    if (!ImpliedByAnother(atoms_, a, vocab)) {
       parts.push_back(AtomToDescription(vocab, a));
     }
   }
@@ -563,14 +741,10 @@ DescPtr NormalForm::ToDescription(const Vocabulary& vocab) const {
 
   for (const auto& [role_id, rr] : roles_) {
     Symbol role = vocab.role(role_id).name;
-    bool attribute = vocab.role(role_id).attribute;
-    if (rr.at_least > rr.fillers.size()) {
+    if (PrintsAtLeast(rr)) {
       parts.push_back(Description::AtLeast(rr.at_least, role));
     }
-    // Closure is always re-derivable from AT-MOST + FILLS (Tighten closes
-    // a role whose bound is reached), so CLOSE never needs printing — it
-    // is not a concept constructor.
-    if (rr.at_most != kUnbounded && !(attribute && rr.at_most == 1)) {
+    if (PrintsAtMost(rr, vocab.role(role_id).attribute)) {
       parts.push_back(Description::AtMost(rr.at_most, role));
     }
     if (!rr.fillers.empty()) {
@@ -578,7 +752,7 @@ DescPtr NormalForm::ToDescription(const Vocabulary& vocab) const {
       for (IndId f : rr.fillers) fillers.push_back(IndRefOf(vocab, f));
       parts.push_back(Description::Fills(role, std::move(fillers)));
     }
-    if (rr.value_restriction && !rr.value_restriction->IsThing()) {
+    if (PrintsAll(rr)) {
       parts.push_back(Description::All(
           role, rr.value_restriction->ToDescription(vocab)));
     }
@@ -604,7 +778,9 @@ DescPtr NormalForm::ToDescription(const Vocabulary& vocab) const {
 }
 
 std::string NormalForm::ToString(const Vocabulary& vocab) const {
-  return ToDescription(vocab)->ToString(vocab.symbols());
+  std::string out;
+  AppendForm(*this, vocab, &out);
+  return out;
 }
 
 }  // namespace classic

@@ -139,11 +139,13 @@ class NormalForm {
   /// keys on these ids.
   NfId interned_id() const { return nf_id_.id; }
 
-  /// \brief Renders the normal form back into a Description (used for
-  /// descriptive answers, ask-description and concept-aspect output).
+  /// \brief Renders the normal form back into a Description, for callers
+  /// that need a description value (concept-aspect output).
   DescPtr ToDescription(const Vocabulary& vocab) const;
 
-  /// \brief Convenience: concrete-syntax string of ToDescription.
+  /// \brief The concept syntax of the form, as answers print it: byte for
+  /// byte ToDescription(vocab)->ToString(vocab.symbols()), written straight
+  /// into one string without building the Description.
   std::string ToString(const Vocabulary& vocab) const;
 
   // --- Build interface (used by Normalizer / propagation engine) ---------

@@ -105,7 +105,22 @@ sexpr::Value QueryRequest::ToSexpr() const {
   return sexpr::Value::MakeList(std::move(items));
 }
 
-std::string QueryRequest::ToWire() const { return ToSexpr().ToString(); }
+std::string QueryRequest::ToWire() const {
+  // ToSexpr().ToString(), byte for byte, rendered straight into one buffer.
+  std::string out;
+  out.reserve(40 + text.size());
+  out += "(request ";
+  out += QueryKindName(kind);
+  out += ' ';
+  sexpr::AppendQuoted(text, &out);
+  if (as_of_epoch != 0) {
+    out += ' ';
+    AppendInteger(static_cast<int64_t>(as_of_epoch), &out);
+  }
+  if (explain) out += " explain";
+  out += ')';
+  return out;
+}
 
 Result<QueryRequest> QueryRequest::FromSexpr(const sexpr::Value& v) {
   if (!v.HasHead("request") || v.size() < 3 || v.size() > 5) {
@@ -427,7 +442,7 @@ QueryAnswer KbEngine::ServeQueryImpl(const KnowledgeBase& kb,
         out.status = a.status();
         return out;
       }
-      out.values.push_back(a->description->ToString(kb.vocab().symbols()));
+      out.values.push_back(a->normal_form->ToString(kb.vocab()));
       for (const std::string& m : a->msc_names) out.values.push_back(m);
       if (request.explain) {
         // The intensional answer classifies the query concept; the child

@@ -120,8 +120,12 @@ struct QueryRequest {
   // optional `explain` symbol. FromSexpr(ToSexpr()) reproduces
   // kind/text/as_of_epoch/explain exactly.
 
+  /// The Value tree of the wire form; the reference the tests hold ToWire
+  /// to.
   sexpr::Value ToSexpr() const;
-  std::string ToWire() const;  ///< ToSexpr() rendered to concrete syntax.
+  /// ToSexpr() rendered to concrete syntax, written without building the
+  /// Value tree (the client encodes every request with it).
+  std::string ToWire() const;
   static Result<QueryRequest> FromSexpr(const sexpr::Value& v);
   static Result<QueryRequest> FromWire(const std::string& text);
 

@@ -75,7 +75,6 @@ Result<DescriptionAnswer> SummarizeExtension(const KnowledgeBase& kb,
   }
   DescriptionAnswer out;
   out.normal_form = acc;
-  out.description = acc->ToDescription(kb.vocab());
   Classification cls = kb.taxonomy().Classify(*acc);
   std::vector<NodeId> nodes =
       cls.equivalent ? std::vector<NodeId>{*cls.equivalent} : cls.parents;
@@ -121,7 +120,6 @@ Result<DescriptionAnswer> AskDescription(const KnowledgeBase& kb,
 
   DescriptionAnswer out;
   out.normal_form = cur;
-  out.description = cur->ToDescription(kb.vocab());
   Classification cls = kb.taxonomy().Classify(*cur);
   std::vector<NodeId> nodes =
       cls.equivalent ? std::vector<NodeId>{*cls.equivalent} : cls.parents;

@@ -26,13 +26,12 @@ namespace classic {
 
 /// \brief An intensional answer.
 struct DescriptionAnswer {
-  /// Necessary description of every possible answer object.
-  DescPtr description;
+  /// Necessary description of every possible answer object; callers print
+  /// it with NormalForm::ToString.
+  NormalFormPtr normal_form;
   /// Names of the most specific schema concepts subsuming the answer
   /// objects (human-readable classification of the answer).
   std::vector<std::string> msc_names;
-  /// Normal form behind `description`.
-  NormalFormPtr normal_form;
 };
 
 /// \brief Computes the necessary description of all objects that could

@@ -1,7 +1,6 @@
 #include "storage/snapshot.h"
 
 #include <fstream>
-#include <sstream>
 
 #include "util/string_util.h"
 
@@ -10,32 +9,39 @@ namespace classic::storage {
 std::string DumpDatabase(const KnowledgeBase& kb) {
   const Vocabulary& vocab = kb.vocab();
   const SymbolTable& symbols = vocab.symbols();
-  std::ostringstream out;
-
-  out << "; CLASSIC snapshot (replayable operation program)\n";
+  // One buffer for the whole program: every description is appended in
+  // place rather than rendered to a temporary first.
+  std::string out = "; CLASSIC snapshot (replayable operation program)\n";
+  auto form = [&](const char* head, Symbol name, const Description* body) {
+    out += head;
+    out += symbols.Name(name);
+    if (body != nullptr) {
+      out += ' ';
+      body->AppendTo(symbols, &out);
+    }
+    out += ")\n";
+  };
 
   for (RoleId r = 0; r < vocab.num_roles(); ++r) {
     const RoleInfo& info = vocab.role(r);
-    out << (info.attribute ? "(define-attribute " : "(define-role ")
-        << symbols.Name(info.name) << ")\n";
+    form(info.attribute ? "(define-attribute " : "(define-role ", info.name,
+         nullptr);
   }
 
   for (IndId i = 0; i < vocab.num_individuals(); ++i) {
     const IndInfo& info = vocab.individual(i);
     if (info.kind != IndKind::kClassic) continue;  // host values are interned on demand
-    out << "(create-ind " << symbols.Name(info.name) << ")\n";
+    form("(create-ind ", info.name, nullptr);
   }
 
   for (ConceptId c = 0; c < vocab.num_concepts(); ++c) {
     const ConceptInfo& info = vocab.concept_info(c);
-    out << "(define-concept " << symbols.Name(info.name) << " "
-        << info.source->ToString(symbols) << ")\n";
+    form("(define-concept ", info.name, info.source.get());
   }
 
   for (const Rule& rule : kb.rules()) {
-    out << "(assert-rule "
-        << symbols.Name(vocab.concept_info(rule.antecedent_concept).name) << " "
-        << rule.consequent_source->ToString(symbols) << ")\n";
+    form("(assert-rule ", vocab.concept_info(rule.antecedent_concept).name,
+         rule.consequent_source.get());
   }
 
   // Assertions in the global order they were accepted, not grouped by
@@ -44,11 +50,10 @@ std::string DumpDatabase(const KnowledgeBase& kb) {
   const auto& log = kb.base_log();
   for (size_t i = 0; i < log.size(); ++i) {
     const auto& [ind, expr] = log[i];
-    out << "(assert-ind " << symbols.Name(vocab.individual(ind).name) << " "
-        << expr->ToString(symbols) << ")\n";
+    form("(assert-ind ", vocab.individual(ind).name, expr.get());
   }
 
-  return out.str();
+  return out;
 }
 
 Status WriteSnapshotFile(const KnowledgeBase& kb, const std::string& path) {

@@ -1,5 +1,7 @@
 #include "util/string_util.h"
 
+#include <charconv>
+
 namespace classic {
 
 std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
@@ -50,24 +52,36 @@ std::string EscapeString(std::string_view s) {
 }
 
 void AppendEscapedString(std::string_view s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
+  // Copies each run of bytes that need no escape in one append.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char* escaped;
+    switch (s[i]) {
       case '"':
-        *out += "\\\"";
+        escaped = "\\\"";
         break;
       case '\\':
-        *out += "\\\\";
+        escaped = "\\\\";
         break;
       case '\n':
-        *out += "\\n";
+        escaped = "\\n";
         break;
       case '\t':
-        *out += "\\t";
+        escaped = "\\t";
         break;
       default:
-        *out += c;
+        continue;
     }
+    out->append(s.data() + run, i - run);
+    out->append(escaped, 2);
+    run = i + 1;
   }
+  out->append(s.data() + run, s.size() - run);
+}
+
+void AppendInteger(int64_t v, std::string* out) {
+  char buf[24];  // holds every int64_t, so to_chars cannot fail
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 }  // namespace classic

@@ -29,6 +29,9 @@ std::string EscapeString(std::string_view s);
 /// \brief EscapeString, appended to `*out` in place.
 void AppendEscapedString(std::string_view s, std::string* out);
 
+/// \brief Appends the decimal form of `v` (what StrCat writes for it).
+void AppendInteger(int64_t v, std::string* out);
+
 /// \brief Variadic string concatenation via operator<<.
 template <typename... Args>
 std::string StrCat(Args&&... args) {

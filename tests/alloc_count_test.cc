@@ -5,7 +5,8 @@
 // cycle guard in its own call frames, so it allocates nothing. Copying a
 // derived form allocates one vector per non-empty set (atoms, role
 // records, tests) and one filler vector per role record; value
-// restrictions are shared, not copied.
+// restrictions are shared, not copied. Rendering a derived form grows one
+// string.
 
 #include <gtest/gtest.h>
 
@@ -103,6 +104,30 @@ TEST_F(AllocCountTest, CopyingADerivedFormAllocatesPerVector) {
   ASSERT_EQ(forms, kIndividuals);
   std::printf("mean allocations per derived-form copy: %.2f\n",
               static_cast<double>(total) / static_cast<double>(forms));
+}
+
+TEST_F(AllocCountTest, RenderingADerivedFormAllocatesLittle) {
+  // NormalForm::ToString writes into one string, so the allocations are
+  // that string's growth (and a host filler's own ToString); building a
+  // Description first cost 39 per form here.
+  const KnowledgeBase& kb = db_.kb();
+  size_t forms = 0;
+  size_t total = 0;
+  size_t bytes = 0;
+  for (IndId ind : kb.AllClassicIndividuals()) {
+    const NormalForm& derived = *kb.state(ind).derived;
+    const size_t before = g_allocations.load();
+    const std::string text = derived.ToString(kb.vocab());
+    total += g_allocations.load() - before;
+    bytes += text.size();
+    ++forms;
+  }
+  ASSERT_EQ(forms, kIndividuals);
+  const double mean = static_cast<double>(total) / static_cast<double>(forms);
+  std::printf("mean allocations per derived-form rendering: %.2f "
+              "(%.1f bytes)\n",
+              mean, static_cast<double>(bytes) / static_cast<double>(forms));
+  EXPECT_LE(mean, 4.0);
 }
 
 }  // namespace

@@ -1,10 +1,19 @@
 // Tests for the intensional-answer machinery: CloseConcept fixed points,
-// multi-level marked descriptions, and rule interactions.
+// multi-level marked descriptions, and rule interactions; and for the
+// renderer answers print with, NormalForm::ToString, against the text of
+// the Description that ToDescription builds.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "classic/database.h"
 #include "query/describe.h"
+#include "workload.h"
+
+#ifndef CLASSIC_EXAMPLES_DIR
+#define CLASSIC_EXAMPLES_DIR "examples"
+#endif
 
 namespace classic {
 namespace {
@@ -96,7 +105,7 @@ TEST_F(DescribeTest, TwoLevelMarkedDescription) {
   ASSERT_TRUE(q.ok());
   auto a = AskDescription(db_.kb(), *q);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
-  std::string d = a->description->ToString(symbols);
+  std::string d = a->normal_form->ToString(db_.kb().vocab());
   EXPECT_NE(d.find("cc"), std::string::npos) << d;
 }
 
@@ -109,7 +118,7 @@ TEST_F(DescribeTest, MarkedDescriptionMergesLevelConstraints) {
   ASSERT_TRUE(q.ok());
   auto a = AskDescription(db_.kb(), *q);
   ASSERT_TRUE(a.ok());
-  std::string d = a->description->ToString(symbols);
+  std::string d = a->normal_form->ToString(db_.kb().vocab());
   EXPECT_NE(d.find("bb"), std::string::npos) << d;
   EXPECT_NE(d.find("cc"), std::string::npos) << d;
 }
@@ -137,8 +146,51 @@ TEST_F(DescribeTest, SingletonClosureUsesClosedRoleFillers) {
   auto a = AskDescription(db_.kb(), *q);
   ASSERT_TRUE(a.ok());
   // The sole possible answer is Y, so Y's state (it is a B) is necessary.
-  std::string d = a->description->ToString(symbols);
+  std::string d = a->normal_form->ToString(db_.kb().vocab());
   EXPECT_NE(d.find("bb"), std::string::npos) << d;
+}
+
+/// Every derived state and every concept of `kb` renders to the text of
+/// its Description.
+void ExpectRenderingsMatchDescriptions(const KnowledgeBase& kb,
+                                       const std::string& where) {
+  const Vocabulary& vocab = kb.vocab();
+  size_t compared = 0;
+  auto compare = [&](const NormalForm& nf, const std::string& what) {
+    EXPECT_EQ(nf.ToString(vocab),
+              nf.ToDescription(vocab)->ToString(vocab.symbols()))
+        << where << ": " << what;
+    ++compared;
+  };
+  for (IndId i : kb.AllClassicIndividuals()) {
+    compare(*kb.state(i).derived, vocab.IndividualName(i));
+  }
+  for (ConceptId c = 0; c < vocab.num_concepts(); ++c) {
+    const ConceptInfo& info = vocab.concept_info(c);
+    compare(*info.normal_form, vocab.symbols().Name(info.name));
+  }
+  EXPECT_GT(compared, 0u) << where;
+}
+
+TEST(RenderTest, StandardWorkloadRendersAsItsDescriptions) {
+  Database db;
+  bench::BuildStandardWorkload(&db, /*num_concepts=*/120,
+                               /*num_individuals=*/1000, /*seed=*/7);
+  ExpectRenderingsMatchDescriptions(db.kb(), "standard workload");
+}
+
+TEST(RenderTest, ExamplesRenderAsTheirDescriptions) {
+  size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CLASSIC_EXAMPLES_DIR)) {
+    if (entry.path().extension() != ".classic") continue;
+    Database db;
+    Status st = db.LoadFile(entry.path().string());
+    ASSERT_TRUE(st.ok()) << entry.path() << ": " << st.ToString();
+    ExpectRenderingsMatchDescriptions(db.kb(), entry.path().string());
+    ++files;
+  }
+  EXPECT_GE(files, 2u);
 }
 
 }  // namespace

@@ -310,6 +310,52 @@ TEST_F(NormalizeTest, RoundTripThroughDescription) {
       << nf->ToString(vocab_) << "\nvs\n" << (*again)->ToString(vocab_);
 }
 
+TEST_F(NormalizeTest, ToStringWritesTheTextOfToDescription) {
+  ASSERT_TRUE(
+      vocab_.RegisterTest("even", [](const TestArg&) { return true; }).ok());
+  // Each row: a concept and its rendering. The rows reach the rules the
+  // random descriptions of property_test do not: host fillers of every
+  // type (a string holding a quote and a backslash, a real), implied
+  // atoms, an attribute's declared AT-MOST 1, TEST, DISJOINT-PRIMITIVE,
+  // a lone part, THING and NOTHING.
+  const struct {
+    const char* concept_text;
+    const char* rendered;
+  } kRows[] = {
+      {"THING", "THING"},
+      {"NOTHING", "NOTHING"},
+      {"(AND (AT-LEAST 2 r) (AT-MOST 1 r))", "NOTHING"},
+      {"(AT-LEAST 2 r)", "(AT-LEAST 2 r)"},
+      {"(AND INTEGER NUMBER)", "INTEGER"},
+      {"(ALL r (AND NUMBER REAL HOST-THING))", "(ALL r REAL)"},
+      {"(AND (AT-LEAST 1 driver) (AT-MOST 1 driver))", "(AT-LEAST 1 driver)"},
+      {"(AT-MOST 0 driver)", "(AT-MOST 0 driver)"},
+      {"(FILLS s 7 2.5 \"say \\\"hi\\\" \\\\ now\" #t)",
+       "(FILLS s 7 2.5 \"say \\\"hi\\\" \\\\ now\" #t)"},
+      {"(AND (FILLS insurance 3.0) (ALL insurance REAL))",
+       "(AND (FILLS insurance 3.0) (ALL insurance REAL))"},
+      {"(ONE-OF #f #t)", "(AND BOOLEAN (ONE-OF #t #f))"},
+      {"(TEST even)", "(TEST even)"},
+      {"(AND (DISJOINT-PRIMITIVE CLASSIC-THING gender male) "
+       "(PRIMITIVE CLASSIC-THING crime) (TEST even))",
+       "(AND CLASSIC-THING (DISJOINT-PRIMITIVE THING gender male) "
+       "(PRIMITIVE THING crime) (TEST even))"},
+      {"(AND (AT-LEAST 3 r) (AT-MOST 4 r) (FILLS r Ford-1 Volvo-2) "
+       "(ALL r (AND (PRIMITIVE CLASSIC-THING car) (AT-LEAST 1 s))))",
+       "(AND (AT-LEAST 3 r) (AT-MOST 4 r) (FILLS r Ford-1 Volvo-2) "
+       "(ALL r (AND CLASSIC-THING (PRIMITIVE THING car) (AT-LEAST 1 s))))"},
+      {"(SAME-AS (driver) (payer))", "(SAME-AS (driver) (payer))"},
+  };
+  for (const auto& row : kRows) {
+    NormalFormPtr nf = NF(row.concept_text);
+    ASSERT_NE(nf, nullptr) << row.concept_text;
+    EXPECT_EQ(nf->ToString(vocab_), row.rendered) << row.concept_text;
+    EXPECT_EQ(nf->ToString(vocab_),
+              nf->ToDescription(vocab_)->ToString(vocab_.symbols()))
+        << row.concept_text;
+  }
+}
+
 TEST_F(NormalizeTest, SizeGrowsWithConstraints) {
   EXPECT_LT(NF("(AT-LEAST 1 r)")->Size(),
             NF("(AND (AT-LEAST 1 r) (ALL r (AND (AT-LEAST 1 s) "

@@ -16,11 +16,14 @@
 //    the live KbSnapshot count stays near the reader count and never
 //    approaches the number of published epochs.
 //
-// Deterministic seeds; no wall-clock dependence (threads rendezvous on
-// atomics, not timers). Run under -DCLASSIC_TSAN=ON by scripts/check.sh.
+// Deterministic seeds; no wall-clock dependence: the writer is paced on
+// the readers through atomics, not timers, so every reader iterates and
+// no reader holds an epoch the engine has already let go of, however the
+// threads are scheduled. Run under -DCLASSIC_TSAN=ON by scripts/check.sh.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -37,6 +40,12 @@ namespace {
 
 constexpr size_t kReaders = 4;
 constexpr size_t kEpochs = 48;
+/// Before each publish, every reader must have finished an iteration on an
+/// epoch at most this many publishes old.
+constexpr uint64_t kMaxLag = 4;
+// A reader then holds an epoch at most kMaxLag + 1 publishes older than
+// the newest, which the ring of the last kRetainedEpochs still retains.
+static_assert(kMaxLag + 2 <= KbEngine::kRetainedEpochs);
 
 class ParallelStressTest : public ::testing::Test {
  protected:
@@ -67,6 +76,8 @@ TEST_F(ParallelStressTest, ReadersStayConsistentWhileWriterPublishes) {
   std::atomic<size_t> reader_iterations{0};
   std::atomic<bool> failed{false};
   std::vector<std::string> errors(kReaders);
+  // The epoch of each reader's last finished iteration (0: none yet).
+  std::array<std::atomic<uint64_t>, kReaders> finished_epoch{};
 
   // A stale snapshot captured before any stress mutation, plus its
   // reference bytes; re-checked after the writer retires it many times.
@@ -153,6 +164,20 @@ TEST_F(ParallelStressTest, ReadersStayConsistentWhileWriterPublishes) {
                                              std::memory_order_relaxed)) {
       }
       reader_iterations.fetch_add(1, std::memory_order_relaxed);
+      finished_epoch[id].store(snap->epoch(), std::memory_order_release);
+    }
+  };
+
+  // Yields until every reader has finished an iteration on an epoch at
+  // most kMaxLag publishes old; gives up once a reader has failed.
+  auto await_readers = [&]() {
+    const uint64_t current = engine_.epoch();
+    for (const std::atomic<uint64_t>& finished : finished_epoch) {
+      while (!failed.load(std::memory_order_relaxed)) {
+        const uint64_t e = finished.load(std::memory_order_acquire);
+        if (e != 0 && e + kMaxLag >= current) break;
+        std::this_thread::yield();
+      }
     }
   };
 
@@ -163,16 +188,19 @@ TEST_F(ParallelStressTest, ReadersStayConsistentWhileWriterPublishes) {
   // The writer: one epoch per iteration — create a marker individual,
   // recognize it under STRESS-MARK, and churn the scratch individual with
   // an assert/retract pair (retraction triggers full re-derivation, the
-  // heaviest write path). It mutates its own database, then publishes it.
+  // heaviest write path). It mutates its own database, then publishes it
+  // once the readers have caught up.
   const std::string scratch_fill = "(FILLS stress-scratch-role ScratchFiller)";
   for (size_t k = 0; k < kEpochs; ++k) {
     Status st = db_.CreateIndividual(StrCat("S-", k), "STRESS-MARK");
     ASSERT_TRUE(st.ok()) << st.ToString();
+    await_readers();
     engine_.PublishFrom(db_.kb());
     if (k % 4 == 1) {
       st = db_.AssertInd("Scratch", scratch_fill);
       if (st.ok()) st = db_.RetractInd("Scratch", scratch_fill);
       ASSERT_TRUE(st.ok()) << st.ToString();
+      await_readers();
       engine_.PublishFrom(db_.kb());
     }
   }
@@ -183,6 +211,7 @@ TEST_F(ParallelStressTest, ReadersStayConsistentWhileWriterPublishes) {
     EXPECT_TRUE(errors[r].empty()) << "reader " << r << ": " << errors[r];
   }
   EXPECT_FALSE(failed.load());
+  // The first publish waited for every reader's first iteration.
   EXPECT_GT(reader_iterations.load(), 0u);
 
   // Stale epoch still valid and byte-stable after ~60 publishes.
@@ -196,10 +225,13 @@ TEST_F(ParallelStressTest, ReadersStayConsistentWhileWriterPublishes) {
   ASSERT_TRUE(final_marks.status.ok());
   EXPECT_EQ(final_marks.values.size(), kEpochs);
 
-  // Bounded memory: readers hold at most one snapshot each (plus the
-  // engine's current, our two locals, and a publish transient), so the
-  // live count must stay near kReaders and far below the ~60 epochs
-  // published. Without reclamation this would be > kEpochs.
+  // Bounded memory: while the readers run, the live epochs are the
+  // engine's ring (kRetainedEpochs), the one it has just evicted and frees
+  // after unlocking, and `early`; each reader holds one snapshot, which
+  // the pacing keeps inside the ring. That is 8 + 1 + 1 = 10, within
+  // 2 * kReaders + 4 = 12 and far below the ~60 epochs published; without
+  // reclamation it would exceed kEpochs.
+  static_assert(KbEngine::kRetainedEpochs + 2 <= 2 * kReaders + 4);
   EXPECT_LE(max_live.load(), 2 * kReaders + 4);
 }
 

@@ -206,6 +206,9 @@ TEST_P(DescPropertyTest, RenderRoundTripIsIdentity) {
   NormalFormPtr nf = Env()->NF(Env()->Generate(&rng, 14));
   ASSERT_TRUE(nf);
   DescPtr rendered = nf->ToDescription(Env()->vocab_);
+  // The one-buffer renderer writes exactly the text of the Description.
+  EXPECT_EQ(nf->ToString(Env()->vocab_),
+            rendered->ToString(Env()->vocab_.symbols()));
   auto again = Env()->norm_.NormalizeConcept(rendered);
   ASSERT_TRUE(again.ok()) << again.status().ToString() << "\nfor "
                           << rendered->ToString(Env()->vocab_.symbols());

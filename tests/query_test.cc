@@ -193,8 +193,7 @@ TEST_F(QueryTest, AskDescriptionUnmarkedClosesOverRules) {
   bool has_b = false;
   for (const auto& n : full.msc_names) has_b |= (n == "B");
   (void)has_b;  // msc may collapse to A (B is implied); check description.
-  EXPECT_NE(full.description->ToString(db_.kb().vocab().symbols())
-                .find("bbb"),
+  EXPECT_NE(full.normal_form->ToString(db_.kb().vocab()).find("bbb"),
             std::string::npos);
 }
 
@@ -206,7 +205,7 @@ TEST_F(QueryTest, SummarizeExtensionFindsCommonStructure) {
   ASSERT_TRUE(q.ok());
   auto sum = SummarizeExtension(db_.kb(), *q);
   ASSERT_TRUE(sum.ok()) << sum.status().ToString();
-  std::string d = sum->description->ToString(symbols);
+  std::string d = sum->normal_form->ToString(db_.kb().vocab());
   EXPECT_NE(d.find("person"), std::string::npos) << d;
   EXPECT_NE(d.find("(AT-LEAST 1 thing-driven)"), std::string::npos) << d;
   // PERSON appears among the most specific named subsumers.
@@ -222,7 +221,7 @@ TEST_F(QueryTest, SummarizeEmptyExtensionIsNothing) {
   auto sum = SummarizeExtension(db_.kb(), *q);
   ASSERT_TRUE(sum.ok());
   EXPECT_TRUE(sum->normal_form->incoherent());
-  EXPECT_EQ(sum->description->ToString(symbols), "NOTHING");
+  EXPECT_EQ(sum->normal_form->ToString(db_.kb().vocab()), "NOTHING");
 }
 
 TEST_F(QueryTest, SummarySubsumesEveryAnswer) {

@@ -135,7 +135,7 @@ TEST_F(UniversityTest, FullScenario) {
   ASSERT_TRUE(q.ok());
   auto ext = SummarizeExtension(db_.kb(), *q);
   ASSERT_TRUE(ext.ok());
-  std::string common = ext->description->ToString(symbols);
+  std::string common = ext->normal_form->ToString(db_.kb().vocab());
   // Every known student is an undergrad person with a Knuth advisor.
   EXPECT_NE(common.find("undergrad"), std::string::npos) << common;
   EXPECT_NE(common.find("(FILLS advisor Knuth)"), std::string::npos)

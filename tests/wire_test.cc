@@ -60,6 +60,7 @@ TEST(WireTest, RequestRoundTripIsExhaustiveOverKinds) {
                              uint64_t{1} << 40}) {
         for (bool explain : {false, true}) {
           QueryRequest original{kind, text, epoch, explain};
+          EXPECT_EQ(original.ToWire(), original.ToSexpr().ToString());
           Result<QueryRequest> decoded =
               QueryRequest::FromWire(original.ToWire());
           ASSERT_TRUE(decoded.ok())
