@@ -18,8 +18,10 @@
 # answer with the in-process one, and the server smoke under ASan), the
 # store suites under ASan (copy-on-write values shared across
 # epochs, epochs freed after unlock), the normal-form suites under ASan
-# (owned forms freed during load and propagation), the rendering suites
-# under ASan (property_test and describe_test drive NormalForm::ToString
+# (owned forms freed during load and propagation), the description and
+# rendering suites under ASan (desc_test drives the parser, the printer
+# and every Description constructor, whose node keeps its payload in a
+# std::variant; property_test and describe_test drive NormalForm::ToString
 # and Description::ToString, which write into one growing buffer), the
 # s-expression lexer's suites (wire, reader, fuzz) under ASan, the
 # taxonomy suites (classification against brute force, pruning bounds)
@@ -127,19 +129,19 @@ if [[ "$TSAN_ONLY" -eq 0 ]]; then
   # here. Builds its own Release tree under .bench_build/ on first use.
   python3 perfbench/smoke_test.py
 
-  echo "== asan: server smoke, the store, normal-form, rendering and taxonomy suites and the s-expression lexer under ASan+UBSan"
+  echo "== asan: server smoke, the store, normal-form, description, rendering and taxonomy suites and the s-expression lexer under ASan+UBSan"
   cmake -B build-asan -S . -DCLASSIC_SANITIZE=ON > /dev/null
   cmake --build build-asan -j"$JOBS" --target serve_test classic_serve \
     epoch_persistence_test propagate_determinism_test retract_test \
     property_kb_test planner_test storage_test kb_test normalize_test \
-    nf_store_test property_test describe_test wire_test sexpr_test \
+    nf_store_test desc_test property_test describe_test wire_test sexpr_test \
     fuzz_robustness_test classify_reference_test taxonomy_test
   ./build-asan/tests/serve_test
   ./build-asan/tools/classic_serve --self-check examples/university.classic
   for t in epoch_persistence_test propagate_determinism_test retract_test \
       property_kb_test planner_test storage_test kb_test normalize_test \
-      nf_store_test property_test describe_test wire_test sexpr_test \
-      fuzz_robustness_test classify_reference_test taxonomy_test; do
+      nf_store_test desc_test property_test describe_test wire_test \
+      sexpr_test fuzz_robustness_test classify_reference_test taxonomy_test; do
     echo "== asan: $t"
     ./build-asan/tests/"$t"
   done

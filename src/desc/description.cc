@@ -4,6 +4,14 @@
 
 namespace classic {
 
+// Every node of a parsed knowledge base is one of these, so a byte here is
+// a byte per told assertion.
+static_assert(sizeof(Description) <= 56);
+
+const DescPtr Description::kNoChild;
+const std::vector<DescPtr> Description::kNoConjuncts;
+const std::vector<IndRef> Description::kNoMembers;
+
 namespace {
 DescPtr Make(DescKind kind) {
   struct Access : Description {
@@ -52,7 +60,7 @@ DescPtr Description::ConceptName(Symbol name) {
 
 DescPtr Description::Primitive(DescPtr parent, Symbol index) {
   DescPtr p = Make(DescKind::kPrimitive);
-  Mutable(p)->child_ = std::move(parent);
+  Mutable(p)->payload_ = std::move(parent);
   Mutable(p)->name_ = index;
   return p;
 }
@@ -60,7 +68,7 @@ DescPtr Description::Primitive(DescPtr parent, Symbol index) {
 DescPtr Description::DisjointPrimitive(DescPtr parent, Symbol group,
                                        Symbol index) {
   DescPtr p = Make(DescKind::kDisjointPrimitive);
-  Mutable(p)->child_ = std::move(parent);
+  Mutable(p)->payload_ = std::move(parent);
   Mutable(p)->group_ = group;
   Mutable(p)->name_ = index;
   return p;
@@ -68,14 +76,14 @@ DescPtr Description::DisjointPrimitive(DescPtr parent, Symbol group,
 
 DescPtr Description::OneOf(std::vector<IndRef> members) {
   DescPtr p = Make(DescKind::kOneOf);
-  Mutable(p)->members_ = std::move(members);
+  Mutable(p)->payload_ = std::move(members);
   return p;
 }
 
 DescPtr Description::All(Symbol role, DescPtr restriction) {
   DescPtr p = Make(DescKind::kAll);
   Mutable(p)->role_ = role;
-  Mutable(p)->child_ = std::move(restriction);
+  Mutable(p)->payload_ = std::move(restriction);
   return p;
 }
 
@@ -96,15 +104,16 @@ DescPtr Description::AtMost(uint32_t n, Symbol role) {
 DescPtr Description::SameAs(std::vector<Symbol> path1,
                             std::vector<Symbol> path2) {
   DescPtr p = Make(DescKind::kSameAs);
-  Mutable(p)->path1_ = std::move(path1);
-  Mutable(p)->path2_ = std::move(path2);
+  Mutable(p)->bound_ = static_cast<uint32_t>(path1.size());
+  path1.insert(path1.end(), path2.begin(), path2.end());
+  Mutable(p)->payload_ = std::move(path1);
   return p;
 }
 
 DescPtr Description::Fills(Symbol role, std::vector<IndRef> fillers) {
   DescPtr p = Make(DescKind::kFills);
   Mutable(p)->role_ = role;
-  Mutable(p)->members_ = std::move(fillers);
+  Mutable(p)->payload_ = std::move(fillers);
   return p;
 }
 
@@ -116,7 +125,7 @@ DescPtr Description::Close(Symbol role) {
 
 DescPtr Description::And(std::vector<DescPtr> conjuncts) {
   DescPtr p = Make(DescKind::kAnd);
-  Mutable(p)->conjuncts_ = std::move(conjuncts);
+  Mutable(p)->payload_ = std::move(conjuncts);
   return p;
 }
 
@@ -128,10 +137,10 @@ DescPtr Description::Test(Symbol fn) {
 
 size_t Description::TreeSize() const {
   size_t n = 1;
-  if (child_) n += child_->TreeSize();
-  for (const auto& c : conjuncts_) n += c->TreeSize();
-  n += members_.size();
-  n += path1_.size() + path2_.size();
+  if (const DescPtr& c = child()) n += c->TreeSize();
+  for (const auto& c : conjuncts()) n += c->TreeSize();
+  n += members().size();
+  n += path1().size() + path2().size();
   return n;
 }
 
@@ -146,7 +155,7 @@ void AppendIndRef(const IndRef& r, const SymbolTable& symbols,
   }
 }
 
-void AppendPath(const std::vector<Symbol>& path, const SymbolTable& symbols,
+void AppendPath(std::span<const Symbol> path, const SymbolTable& symbols,
                 std::string* out) {
   out->push_back('(');
   for (size_t i = 0; i < path.size(); ++i) {
@@ -187,14 +196,14 @@ void Description::AppendTo(const SymbolTable& symbols,
       return;
     case DescKind::kPrimitive:
       out->append("(PRIMITIVE ");
-      child_->AppendTo(symbols, out);
+      child()->AppendTo(symbols, out);
       out->push_back(' ');
       out->append(symbols.Name(name_));
       out->push_back(')');
       return;
     case DescKind::kDisjointPrimitive:
       out->append("(DISJOINT-PRIMITIVE ");
-      child_->AppendTo(symbols, out);
+      child()->AppendTo(symbols, out);
       out->push_back(' ');
       out->append(symbols.Name(group_));
       out->push_back(' ');
@@ -203,7 +212,7 @@ void Description::AppendTo(const SymbolTable& symbols,
       return;
     case DescKind::kOneOf:
       out->append("(ONE-OF");
-      for (const auto& m : members_) {
+      for (const auto& m : members()) {
         out->push_back(' ');
         AppendIndRef(m, symbols, out);
       }
@@ -213,7 +222,7 @@ void Description::AppendTo(const SymbolTable& symbols,
       out->append("(ALL ");
       out->append(symbols.Name(role_));
       out->push_back(' ');
-      child_->AppendTo(symbols, out);
+      child()->AppendTo(symbols, out);
       out->push_back(')');
       return;
     case DescKind::kAtLeast:
@@ -226,15 +235,15 @@ void Description::AppendTo(const SymbolTable& symbols,
       return;
     case DescKind::kSameAs:
       out->append("(SAME-AS ");
-      AppendPath(path1_, symbols, out);
+      AppendPath(path1(), symbols, out);
       out->push_back(' ');
-      AppendPath(path2_, symbols, out);
+      AppendPath(path2(), symbols, out);
       out->push_back(')');
       return;
     case DescKind::kFills:
       out->append("(FILLS ");
       out->append(symbols.Name(role_));
-      for (const auto& m : members_) {
+      for (const auto& m : members()) {
         out->push_back(' ');
         AppendIndRef(m, symbols, out);
       }
@@ -247,7 +256,7 @@ void Description::AppendTo(const SymbolTable& symbols,
       return;
     case DescKind::kAnd:
       out->append("(AND");
-      for (const auto& c : conjuncts_) {
+      for (const auto& c : conjuncts()) {
         out->push_back(' ');
         c->AppendTo(symbols, out);
       }

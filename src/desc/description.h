@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -42,20 +43,37 @@ using DescPtr = std::shared_ptr<const Description>;
 /// \brief Reference to an individual inside a description: either a named
 /// CLASSIC individual or a host value. Resolved to an IndId at
 /// normalization time.
-struct IndRef {
-  std::variant<Symbol, HostValue> ref;
+///
+/// Most references are names, so a host literal lives behind a pointer
+/// and a reference takes 24 bytes, not a HostValue's 40 plus a tag.
+class IndRef {
+ public:
+  static IndRef Named(Symbol s) {
+    IndRef r;
+    r.name_ = s;
+    return r;
+  }
+  static IndRef Host(HostValue v) {
+    IndRef r;
+    r.host_ = std::make_shared<const HostValue>(std::move(v));
+    return r;
+  }
 
-  static IndRef Named(Symbol s) { return IndRef{s}; }
-  static IndRef Host(HostValue v) { return IndRef{std::move(v)}; }
+  bool is_named() const { return host_ == nullptr; }
+  Symbol name() const { return name_; }
+  const HostValue& host() const { return *host_; }
 
-  bool is_named() const { return std::holds_alternative<Symbol>(ref); }
-  Symbol name() const { return std::get<Symbol>(ref); }
-  const HostValue& host() const { return std::get<HostValue>(ref); }
+  bool operator==(const IndRef& other) const {
+    if (is_named() != other.is_named()) return false;
+    return is_named() ? name_ == other.name_ : *host_ == *other.host_;
+  }
 
-  bool operator==(const IndRef& other) const { return ref == other.ref; }
+ private:
+  Symbol name_ = kNoSymbol;
+  std::shared_ptr<const HostValue> host_;
 };
 
-enum class DescKind {
+enum class DescKind : uint8_t {
   kThing,              // the universal concept
   kNothing,            // the bottom (incoherent) concept, printed NOTHING
   kClassicThing,       // all regular CLASSIC individuals
@@ -76,7 +94,7 @@ enum class DescKind {
 };
 
 /// Built-in host concepts (beyond HOST-THING itself).
-enum class BuiltinConcept {
+enum class BuiltinConcept : uint8_t {
   kInteger,
   kReal,
   kNumber,
@@ -92,6 +110,12 @@ const char* BuiltinConceptName(BuiltinConcept b);
 /// Construct with the static factory functions; they validate nothing
 /// beyond shape (semantic validation happens during normalization, against
 /// a Vocabulary).
+///
+/// A node is sized for the kinds it serves: the scalar fields, then one
+/// payload holding whichever of child, conjuncts, members or SAME-AS paths
+/// its kind uses (56 bytes; 72 with make_shared's control block). A parsed
+/// assertion such as (AT-MOST 6 r) is one such node, and the base log
+/// keeps one per told assertion.
 class Description {
  public:
   static DescPtr Thing();
@@ -117,22 +141,41 @@ class Description {
   /// Role name; valid for kAll / kAtLeast / kAtMost / kFills / kClose.
   Symbol role() const { return role_; }
   /// Cardinality bound; valid for kAtLeast / kAtMost.
-  uint32_t bound() const { return bound_; }
+  uint32_t bound() const { return kind_ == DescKind::kSameAs ? 0 : bound_; }
   /// Concept / index / group / test-fn name, depending on kind.
   Symbol name() const { return name_; }
   Symbol group() const { return group_; }
   BuiltinConcept builtin() const { return builtin_; }
 
   /// Parent description (kPrimitive / kDisjointPrimitive) or ALL
-  /// restriction (kAll).
-  const DescPtr& child() const { return child_; }
-  /// Conjuncts; valid for kAnd.
-  const std::vector<DescPtr>& conjuncts() const { return conjuncts_; }
-  /// Enumeration members / fillers; valid for kOneOf / kFills.
-  const std::vector<IndRef>& members() const { return members_; }
-  /// SAME-AS paths (role name symbols); valid for kSameAs.
-  const std::vector<Symbol>& path1() const { return path1_; }
-  const std::vector<Symbol>& path2() const { return path2_; }
+  /// restriction (kAll); null for every other kind.
+  const DescPtr& child() const {
+    const DescPtr* c = std::get_if<DescPtr>(&payload_);
+    return c != nullptr ? *c : kNoChild;
+  }
+  /// Conjuncts; valid for kAnd, empty otherwise.
+  const std::vector<DescPtr>& conjuncts() const {
+    const auto* c = std::get_if<std::vector<DescPtr>>(&payload_);
+    return c != nullptr ? *c : kNoConjuncts;
+  }
+  /// Enumeration members / fillers; valid for kOneOf / kFills, empty
+  /// otherwise.
+  const std::vector<IndRef>& members() const {
+    const auto* m = std::get_if<std::vector<IndRef>>(&payload_);
+    return m != nullptr ? *m : kNoMembers;
+  }
+  /// SAME-AS paths (role name symbols); valid for kSameAs, empty
+  /// otherwise. Both live in one vector, path1 first.
+  std::span<const Symbol> path1() const {
+    const auto* p = std::get_if<std::vector<Symbol>>(&payload_);
+    return p != nullptr ? std::span<const Symbol>(*p).first(bound_)
+                        : std::span<const Symbol>();
+  }
+  std::span<const Symbol> path2() const {
+    const auto* p = std::get_if<std::vector<Symbol>>(&payload_);
+    return p != nullptr ? std::span<const Symbol>(*p).subspan(bound_)
+                        : std::span<const Symbol>();
+  }
 
   /// \brief Size of the expression tree (number of constructor
   /// applications); the measure in the paper's "time proportional to the
@@ -148,18 +191,19 @@ class Description {
   explicit Description(DescKind kind) : kind_(kind) {}
 
  private:
+  static const DescPtr kNoChild;
+  static const std::vector<DescPtr> kNoConjuncts;
+  static const std::vector<IndRef> kNoMembers;
 
   DescKind kind_;
+  BuiltinConcept builtin_ = BuiltinConcept::kInteger;
   Symbol role_ = kNoSymbol;
-  uint32_t bound_ = 0;
+  uint32_t bound_ = 0;  // kAtLeast / kAtMost: n; kSameAs: path1's length
   Symbol name_ = kNoSymbol;
   Symbol group_ = kNoSymbol;
-  BuiltinConcept builtin_ = BuiltinConcept::kInteger;
-  DescPtr child_;
-  std::vector<DescPtr> conjuncts_;
-  std::vector<IndRef> members_;
-  std::vector<Symbol> path1_;
-  std::vector<Symbol> path2_;
+  std::variant<std::monostate, DescPtr, std::vector<DescPtr>,
+               std::vector<IndRef>, std::vector<Symbol>>
+      payload_;
 };
 
 }  // namespace classic

@@ -151,7 +151,7 @@ Status Normalizer::Apply(const Description& d, bool allow_close,
       // its multi-valued perpetrator this way) — but deeper steps apply to
       // other objects, where only a declared attribute guarantees
       // single-valuedness.
-      auto resolve_path = [&](const std::vector<Symbol>& names)
+      auto resolve_path = [&](std::span<const Symbol> names)
           -> Result<RolePath> {
         if (names.empty()) {
           return Status::InvalidArgument("SAME-AS path must be non-empty");

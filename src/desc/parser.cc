@@ -121,6 +121,7 @@ Result<DescPtr> ParseDescription(const sexpr::Value& v,
 
   if (head == "ONE-OF") {
     std::vector<IndRef> members;
+    members.reserve(v.size() - 1);
     for (size_t i = 1; i < v.size(); ++i) {
       CLASSIC_ASSIGN_OR_RETURN(IndRef ref, ParseIndRef(v.at(i), symbols));
       members.push_back(std::move(ref));
@@ -163,6 +164,7 @@ Result<DescPtr> ParseDescription(const sexpr::Value& v,
     CLASSIC_ASSIGN_OR_RETURN(Symbol role,
                              ParseName(v.at(1), symbols, "role name"));
     std::vector<IndRef> fillers;
+    fillers.reserve(v.size() - 2);
     for (size_t i = 2; i < v.size(); ++i) {
       CLASSIC_ASSIGN_OR_RETURN(IndRef ref, ParseIndRef(v.at(i), symbols));
       fillers.push_back(std::move(ref));
@@ -179,6 +181,7 @@ Result<DescPtr> ParseDescription(const sexpr::Value& v,
 
   if (head == "AND") {
     std::vector<DescPtr> conjuncts;
+    conjuncts.reserve(v.size() - 1);
     for (size_t i = 1; i < v.size(); ++i) {
       CLASSIC_ASSIGN_OR_RETURN(DescPtr c, ParseDescription(v.at(i), symbols));
       conjuncts.push_back(std::move(c));

@@ -10,14 +10,17 @@
 //
 // It is filler-first: slot f of a CowVector (util/cow.h) indexed by
 // filler IndId holds f's postings, role -> sorted set of the individuals
-// whose *derived* state fills that role with f. Both levels are flat: a
-// vector of (role, holders) sorted by role, each holder list an IdSet
-// (util/id_set.h). At 32k individuals a posting list holds 1.25 holders
-// on average, where a tree spends a heap node per entry. Because
-// KnowledgeBase::Satisfies requires derived fillers to be a superset of
-// the query's fillers, a posting set is a complete candidate superset
-// for its FILLS conjunct — host-valued fillers included, since a host
-// value is an interned individual like any other. The same slot answers
+// whose *derived* state fills that role with f. A filler's postings are
+// one flat array of runs `role, n, holder_1 ... holder_n`, runs ascending
+// by role and holders ascending within a run, so a filler costs its COW
+// box and one allocation whatever its roles. At 32k individuals a filler
+// holds 3.2 runs of 1.25 holders on average, so a heap block per run
+// would cost more than the ids it holds.
+//
+// Because KnowledgeBase::Satisfies requires derived fillers to be a
+// superset of the query's fillers, a posting set is a complete candidate
+// superset for its FILLS conjunct — host-valued fillers included, since a
+// host value is an interned individual like any other. The same slot answers
 // the write side's question "who mentions f as a filler?": propagation
 // re-examines those holders when f changes (the cascade), and a reverse
 // path-query step reads one role's posting.
@@ -33,42 +36,44 @@
 
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "desc/ids.h"
 #include "util/cow.h"
-#include "util/id_set.h"
 
 namespace classic {
 
 class FillsIndex {
  public:
-  /// One filler's postings: (role, holders), ascending by role.
-  using RolePostings = std::vector<std::pair<RoleId, IdSet<IndId>>>;
-
-  /// Individuals whose derived state fills `role` with `filler`;
-  /// nullptr when no individual ever did (an empty — rolled-back — set
-  /// is possible and means the same thing). Safe to call from any
-  /// thread on a published snapshot.
-  const IdSet<IndId>* Postings(RoleId role, IndId filler) const {
-    const RolePostings* by_role = by_filler_.Find(filler);
-    if (by_role == nullptr) return nullptr;
-    auto it = LowerBoundById(*by_role, role);
-    return it == by_role->end() || it->first != role ? nullptr : &it->second;
+  /// Individuals whose derived state fills `role` with `filler`,
+  /// ascending; empty when none does. Safe to call from any thread on a
+  /// published snapshot. The span stays valid until this index is next
+  /// written, which a published snapshot's never is.
+  std::span<const IndId> Postings(RoleId role, IndId filler) const {
+    const Runs* runs = by_filler_.Find(filler);
+    if (runs == nullptr) return {};
+    const size_t at = FindRun(*runs, role);
+    if (at == runs->size() || (*runs)[at] != role) return {};
+    return {runs->data() + at + 2, (*runs)[at + 1]};
   }
 
   /// Every individual whose derived state fills some role with `filler`,
   /// ascending, each once.
   std::vector<IndId> Holders(IndId filler) const {
-    IdSet<IndId> out;
-    if (const RolePostings* by_role = by_filler_.Find(filler)) {
-      for (const auto& [role, holders] : *by_role) {
-        out.insert(holders.begin(), holders.end());
-      }
+    std::vector<IndId> out;
+    const Runs* runs = by_filler_.Find(filler);
+    if (runs == nullptr) return out;
+    for (size_t at = 0; at < runs->size(); at += 2 + (*runs)[at + 1]) {
+      const auto holders = runs->begin() + static_cast<ptrdiff_t>(at + 2);
+      out.insert(out.end(), holders, holders + (*runs)[at + 1]);
     }
-    return {out.begin(), out.end()};
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
   }
 
   // --- Writer side (single-writer, like the rest of the KB) --------------
@@ -76,21 +81,36 @@ class FillsIndex {
   /// Records that `host`'s derived state fills (role, filler). Returns
   /// true when the posting is new (the caller journals it for rollback).
   bool Add(RoleId role, IndId filler, IndId host) {
-    RolePostings& by_role = by_filler_.MutableValue(filler);
-    auto it = LowerBoundById(by_role, role);
-    if (it == by_role.end() || it->first != role) {
-      it = by_role.emplace(it, role, IdSet<IndId>{});
+    Runs& runs = by_filler_.MutableValue(filler);
+    const size_t at = FindRun(runs, role);
+    if (at == runs.size() || runs[at] != role) {
+      const uint32_t run[] = {role, 1, host};
+      runs.insert(runs.begin() + static_cast<ptrdiff_t>(at), run, run + 3);
+      return true;
     }
-    return it->second.insert(host).second;
+    const auto first = runs.begin() + static_cast<ptrdiff_t>(at + 2);
+    const auto last = first + runs[at + 1];
+    const auto it = std::lower_bound(first, last, host);
+    if (it != last && *it == host) return false;
+    runs.insert(it, host);
+    ++runs[at + 1];
+    return true;
   }
 
-  /// Rollback of a journaled Add. The posting set may become empty but
-  /// stays; empty sets are harmless — they only make the planner's
-  /// candidate set smaller.
+  /// Rollback of a journaled Add. A run left without holders is dropped.
   void Remove(RoleId role, IndId filler, IndId host) {
-    RolePostings& by_role = by_filler_.MutableValue(filler);
-    auto it = LowerBoundById(by_role, role);
-    if (it != by_role.end() && it->first == role) it->second.erase(host);
+    Runs& runs = by_filler_.MutableValue(filler);
+    const size_t at = FindRun(runs, role);
+    if (at == runs.size() || runs[at] != role) return;
+    const auto first = runs.begin() + static_cast<ptrdiff_t>(at + 2);
+    const auto last = first + runs[at + 1];
+    const auto it = std::lower_bound(first, last, host);
+    if (it == last || *it != host) return;
+    runs.erase(it);
+    if (--runs[at + 1] == 0) {
+      runs.erase(runs.begin() + static_cast<ptrdiff_t>(at),
+                 runs.begin() + static_cast<ptrdiff_t>(at + 2));
+    }
   }
 
   /// Drops everything (the RederiveAll path, which replays the base log
@@ -105,7 +125,18 @@ class FillsIndex {
   size_t ApproxChunkBytes() const { return by_filler_.ApproxChunkBytes(); }
 
  private:
-  CowVector<std::shared_ptr<RolePostings>> by_filler_;
+  /// One filler's postings: runs `role, n, holder_1 ... holder_n`.
+  using Runs = std::vector<uint32_t>;
+
+  /// Offset of `role`'s run, or of the first run past it (the insertion
+  /// point; runs.size() when there is none).
+  static size_t FindRun(const Runs& runs, RoleId role) {
+    size_t at = 0;
+    while (at < runs.size() && runs[at] < role) at += 2 + runs[at + 1];
+    return at;
+  }
+
+  CowVector<std::shared_ptr<Runs>> by_filler_;
 };
 
 }  // namespace classic

@@ -231,14 +231,11 @@ class PathEvaluator {
       // Reverse step: the (role, object) posting holds exactly the
       // subjects whose derived state fills the role with the object.
       size_t var = atom.subject.var();
-      const IdSet<IndId>* subjects =
-          kb_.fills_index().Postings(atom.role, Value(atom.object));
-      if (subjects != nullptr) {
-        for (IndId subject : *subjects) {
-          ++bindings_explored_;
-          binding_[var] = subject;
-          CLASSIC_RETURN_NOT_OK(Search());
-        }
+      for (IndId subject :
+           kb_.fills_index().Postings(atom.role, Value(atom.object))) {
+        ++bindings_explored_;
+        binding_[var] = subject;
+        CLASSIC_RETURN_NOT_OK(Search());
       }
       binding_[var] = kNoId;
       return Status::OK();

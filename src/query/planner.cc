@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -33,18 +34,18 @@ struct Source {
   Kind kind;
   size_t size = 0;
   /// The set itself: a node's extension (kTaxonomy), or a posting or
-  /// enumeration set. A null `members` means provably empty (no posting
-  /// list ever existed for the pair — the query can only be answered by
+  /// enumeration, ascending. An empty posting is provably empty (no
+  /// individual fills the pair — the query can only be answered by
   /// subsumed concepts' extensions).
   const DynamicBitset* extension = nullptr;
-  const IdSet<IndId>* members = nullptr;
+  std::span<const IndId> members;
   NodeId node = 0;       // kTaxonomy
   RoleId role = 0;       // kFills / kHostValue
   IndId filler = kNoId;  // kFills / kHostValue
 
   bool Contains(IndId i) const {
     if (extension != nullptr) return extension->Test(i);
-    return members != nullptr && members->count(i) > 0;
+    return std::binary_search(members.begin(), members.end(), i);
   }
 
   /// Calls fn(member) in ascending order.
@@ -52,8 +53,8 @@ struct Source {
   void ForEach(Fn&& fn) const {
     if (extension != nullptr) {
       extension->ForEach([&fn](size_t i) { fn(static_cast<IndId>(i)); });
-    } else if (members != nullptr) {
-      for (IndId i : *members) fn(i);
+    } else {
+      for (IndId i : members) fn(i);
     }
   }
 };
@@ -99,15 +100,15 @@ Prepared Prepare(const KnowledgeBase& kb, const NormalForm& nf) {
       s.role = role;
       s.filler = filler;
       s.members = kb.fills_index().Postings(role, filler);
-      s.size = s.members != nullptr ? s.members->size() : 0;
+      s.size = s.members.size();
       p.sources.push_back(s);
     }
   }
-  if (nf.enumeration() != nullptr) {
+  if (const IdSet<IndId>* e = nf.enumeration()) {
     Source s;
     s.kind = Source::Kind::kEnum;
-    s.members = nf.enumeration();
-    s.size = s.members->size();
+    s.members = std::span<const IndId>(e->begin(), e->end());
+    s.size = s.members.size();
     p.sources.push_back(s);
   }
   for (size_t i = 0; i < p.sources.size(); ++i) {

@@ -6,7 +6,7 @@ namespace classic {
 
 Symbol SymbolTable::Intern(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   Symbol id = static_cast<Symbol>(names_.size());
   names_.push_back(std::string(name));
@@ -16,7 +16,7 @@ Symbol SymbolTable::Intern(std::string_view name) {
 
 Symbol SymbolTable::Lookup(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it == ids_.end()) return kNoSymbol;
   return it->second;
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -55,8 +56,17 @@ class SymbolTable {
   size_t size() const { return names_.size(); }
 
  private:
+  /// Hashes a std::string and a std::string_view alike, so a lookup by
+  /// view builds no std::string (heterogeneous lookup).
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   StableVector<std::string> names_;
-  std::unordered_map<std::string, Symbol> ids_;
+  std::unordered_map<std::string, Symbol, NameHash, std::equal_to<>> ids_;
   mutable std::mutex mutex_;
 };
 

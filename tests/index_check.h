@@ -33,6 +33,7 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,9 +44,8 @@ namespace classic {
 
 namespace index_check {
 
-inline std::vector<IndId> Members(const IdSet<IndId>* s) {
-  if (s == nullptr) return {};
-  return {s->begin(), s->end()};
+inline std::vector<IndId> Members(std::span<const IndId> s) {
+  return {s.begin(), s.end()};
 }
 
 inline std::vector<IndId> Members(const DynamicBitset* b) {

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,11 +61,10 @@ TEST_F(PlannerTest, PostingsTrackDerivedFillers) {
   const IndId mit = Must(db_.FindIndividual("MIT"));
   const IndId p0 = Must(db_.FindIndividual("P0"));
   const IndId p1 = Must(db_.FindIndividual("P1"));
-  const auto* postings = db_.kb().fills_index().Postings(Role("enrolled-at"), mit);
-  ASSERT_NE(postings, nullptr);
-  EXPECT_EQ(postings->size(), 2u);
-  EXPECT_TRUE(postings->count(p0));
-  EXPECT_TRUE(postings->count(p1));
+  const std::span<const IndId> postings =
+      db_.kb().fills_index().Postings(Role("enrolled-at"), mit);
+  EXPECT_EQ(std::vector<IndId>(postings.begin(), postings.end()),
+            (std::vector<IndId>{p0, p1}));
 }
 
 TEST_F(PlannerTest, RejectedUpdateRollsPostingsBack) {
@@ -75,10 +76,9 @@ TEST_F(PlannerTest, RejectedUpdateRollsPostingsBack) {
 
   const IndId mit = Must(db_.FindIndividual("MIT"));
   const IndId p3 = Must(db_.FindIndividual("P3"));
-  const auto* postings = db_.kb().fills_index().Postings(Role("enrolled-at"), mit);
-  if (postings != nullptr) {
-    EXPECT_EQ(postings->count(p3), 0u);
-  }
+  const std::span<const IndId> postings =
+      db_.kb().fills_index().Postings(Role("enrolled-at"), mit);
+  EXPECT_EQ(std::count(postings.begin(), postings.end(), p3), 0);
 }
 
 TEST_F(PlannerTest, MultisetRetractionRebuildsIndex) {
@@ -92,15 +92,14 @@ TEST_F(PlannerTest, MultisetRetractionRebuildsIndex) {
   const RoleId enrolled = Role("enrolled-at");
 
   Must(db_.RetractInd("P4", "(FILLS enrolled-at MIT)"));
-  const auto* postings = db_.kb().fills_index().Postings(enrolled, mit);
-  ASSERT_NE(postings, nullptr);
-  EXPECT_EQ(postings->count(p4), 1u) << "one told copy should remain";
+  std::span<const IndId> postings =
+      db_.kb().fills_index().Postings(enrolled, mit);
+  EXPECT_EQ(std::count(postings.begin(), postings.end(), p4), 1)
+      << "one told copy should remain";
 
   Must(db_.RetractInd("P4", "(FILLS enrolled-at MIT)"));
   postings = db_.kb().fills_index().Postings(enrolled, mit);
-  if (postings != nullptr) {
-    EXPECT_EQ(postings->count(p4), 0u);
-  }
+  EXPECT_EQ(std::count(postings.begin(), postings.end(), p4), 0);
 }
 
 TEST_F(PlannerTest, PublishedEpochsSeeImmutableIndex) {
@@ -114,14 +113,14 @@ TEST_F(PlannerTest, PublishedEpochsSeeImmutableIndex) {
   const IndId mit = Must(db_.FindIndividual("MIT"));
   const IndId p1 = Must(db_.FindIndividual("P1"));
   const RoleId enrolled = Role("enrolled-at");
-  const auto* old_postings = epoch1->kb().fills_index().Postings(enrolled, mit);
-  ASSERT_NE(old_postings, nullptr);
-  EXPECT_EQ(old_postings->size(), 1u);
-  EXPECT_EQ(old_postings->count(p1), 0u)
+  const std::span<const IndId> old_postings =
+      epoch1->kb().fills_index().Postings(enrolled, mit);
+  EXPECT_EQ(old_postings.size(), 1u);
+  EXPECT_EQ(std::count(old_postings.begin(), old_postings.end(), p1), 0)
       << "the epoch published before P1's assertion must not see it";
-  const auto* new_postings = epoch2->kb().fills_index().Postings(enrolled, mit);
-  ASSERT_NE(new_postings, nullptr);
-  EXPECT_EQ(new_postings->size(), 2u);
+  const std::span<const IndId> new_postings =
+      epoch2->kb().fills_index().Postings(enrolled, mit);
+  EXPECT_EQ(new_postings.size(), 2u);
 }
 
 TEST_F(PlannerTest, PlanPinnedForEachBaseKind) {
@@ -230,9 +229,8 @@ TEST(PlannerCounterBoundTest, SelectiveAskTestsAtMostItsPosting) {
       ASSERT_TRUE(q.ok()) << text;
       auto r = Retrieve(kb, *q);
       ASSERT_TRUE(r.ok()) << text;
-      const auto* postings =
-          kb.fills_index().Postings(role0, *db.FindIndividual(name));
-      const size_t posting_size = postings != nullptr ? postings->size() : 0;
+      const size_t posting_size =
+          kb.fills_index().Postings(role0, *db.FindIndividual(name)).size();
       EXPECT_LE(r->stats.candidates_tested, posting_size)
           << individuals << " individuals: " << text;
       if (posting_size > 0 && posting_size < kb.Instances(prim1).Count()) {

@@ -4,12 +4,15 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "classic/database.h"
 #include "classic/interpreter.h"
+#include "query/introspect.h"
 #include "storage/log.h"
 #include "storage/snapshot.h"
+#include "workload.h"
 
 namespace classic {
 namespace {
@@ -164,6 +167,72 @@ TEST_F(StorageTest, SnapshotOfRestoredDbIsStable) {
   std::string d2 = storage::DumpDatabase(again.kb());
   EXPECT_EQ(d1, d2);
   std::remove(p1.c_str());
+}
+
+// Every individual-expression kind goes into the base log here, on top of
+// the standard workload at 1k individuals: a save and a reload must give
+// back the same program, the same derived state and, individual by
+// individual, the same told description.
+TEST_F(StorageTest, SnapshotIsAFixpointOverEveryAssertionKind) {
+  const TestFn positive = [](const TestArg& a) {
+    return a.host != nullptr && a.host->IsNumber() && a.host->AsDouble() > 0;
+  };
+  Database db;
+  Must(db.RegisterTest("positive", positive));
+  bench::BuildStandardWorkload(&db, /*num_concepts=*/120,
+                               /*num_individuals=*/1000, /*seed=*/7);
+  Must(db.DefineRole("friend"));
+  Must(db.DefineRole("rating"));
+  Must(db.DefineRole("tag"));
+  Must(db.DefineAttribute("boss"));
+  Must(db.DefineAttribute("mentor"));
+  Must(db.DefineConcept("EMPLOYEE", "(PRIMITIVE CLASSIC-THING employee)"));
+  for (const char* name : {"Ann", "Bob", "Cid"}) {
+    Must(db.CreateIndividual(name));
+  }
+  const char* told[] = {
+      "EMPLOYEE",                                            // concept name
+      "(AND EMPLOYEE (AT-LEAST 1 friend))",                  // AND, AT-LEAST
+      "(ALL friend (ALL friend EMPLOYEE))",                  // nested ALL
+      "(AT-MOST 3 friend)",                                  // AT-MOST
+      "(ALL rating (TEST positive))",                        // TEST
+      "(ALL rating NUMBER)",                                 // a builtin
+      "(SAME-AS (boss) (mentor))",                           // SAME-AS
+      R"((ALL tag (ONE-OF 1 2.5 #t "say \"hi\" \\ bye")))",  // ONE-OF
+      "(FILLS friend Bob Cid)",                              // named fillers
+      "(FILLS rating 7 2.5)",                                // integer, real
+      R"((FILLS tag #t "say \"hi\" \\ bye"))",             // boolean, string
+      "(CLOSE friend)",                                      // CLOSE
+  };
+  for (const char* expression : told) Must(db.AssertInd("Ann", expression));
+  Must(db.AssertInd("Bob", "(FILLS boss Cid)"));
+
+  const std::string path = TempPath("classic_every_kind.snap");
+  Must(db.SaveSnapshot(path));
+  Database again;
+  Must(again.RegisterTest("positive", positive));
+  Must(again.LoadFile(path));
+  std::remove(path.c_str());
+
+  EXPECT_EQ(storage::DumpDatabase(again.kb()), storage::DumpDatabase(db.kb()));
+  EXPECT_EQ(again.kb().CanonicalDerivedState(),
+            db.kb().CanonicalDerivedState());
+  const Vocabulary& vocab = db.kb().vocab();
+  ASSERT_EQ(again.kb().vocab().num_individuals(), vocab.num_individuals());
+  size_t compared = 0;
+  for (IndId ind : db.kb().AllClassicIndividuals()) {
+    const std::string& name = vocab.symbols().Name(vocab.individual(ind).name);
+    const IndId reloaded = Must(again.FindIndividual(name));
+    const DescPtr before = Must(IndTold(db.kb(), ind));
+    const DescPtr after = Must(IndTold(again.kb(), reloaded));
+    ASSERT_EQ(after->ToString(again.kb().vocab().symbols()),
+              before->ToString(vocab.symbols()))
+        << name;
+    ++compared;
+  }
+  EXPECT_EQ(compared, 1003u);
+  const DescPtr ann = Must(IndTold(db.kb(), Must(db.FindIndividual("Ann"))));
+  EXPECT_EQ(ann->conjuncts().size(), std::size(told));
 }
 
 TEST_F(StorageTest, CloseSurvivesReplay) {

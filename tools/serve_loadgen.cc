@@ -16,6 +16,10 @@
 // A server that stalls cannot hide the stall by slowing the senders down
 // (no coordinated omission), and a server whose capacity falls below the
 // offered rate builds a standing queue that shows in every percentile.
+// The report also gives the send lag, from each request's due time to the
+// start of its send: a sender that wakes late (the generator's threads
+// share the host with the server's) adds that lag to every latency, so a
+// tail with a large send lag is the generator's, not the server's.
 // The defaults are the serving gate's (scripts/check.sh): 13.2k rps is
 // the capacity floor the gate holds. Closed-loop serving throughput is
 // perfbench's measurement.
@@ -60,6 +64,7 @@ struct Percentiles {
   uint64_t p50 = 0;
   uint64_t p99 = 0;
   uint64_t p999 = 0;
+  uint64_t max = 0;
 };
 
 Percentiles ComputePercentiles(std::vector<uint64_t>* ns) {
@@ -73,6 +78,7 @@ Percentiles ComputePercentiles(std::vector<uint64_t>* ns) {
   out.p50 = at(0.50);
   out.p99 = at(0.99);
   out.p999 = at(0.999);
+  out.max = ns->back();
   return out;
 }
 
@@ -82,6 +88,7 @@ struct LoopResult {
   double wall_s = 0;
   double throughput_rps = 0;
   Percentiles latency;
+  Percentiles send_lag;  ///< Due time to the start of the send.
 };
 
 /// Open loop: arrivals are pinned to an absolute schedule; latency runs
@@ -98,6 +105,7 @@ LoopResult RunOpenLoop(const std::string& host, uint16_t port,
       1e9 * static_cast<double>(connections) / rate_rps;
 
   std::vector<std::vector<uint64_t>> latencies(connections);
+  std::vector<std::vector<uint64_t>> send_lags(connections);
   std::vector<size_t> errors(connections, 0);
   const auto start = Clock::now();
   std::vector<std::thread> workers;
@@ -141,8 +149,13 @@ LoopResult RunOpenLoop(const std::string& host, uint16_t port,
                   .count()));
         }
       });
+      send_lags[c].reserve(per_conn);
       for (size_t i = 0; i < per_conn; ++i) {
         std::this_thread::sleep_until(due[i]);
+        send_lags[c].push_back(static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                Clock::now() - due[i])
+                .count()));
         if (!(*client)->SendRequestText(query).ok()) {
           // A dead socket errors the receiver out of its recv too.
           break;
@@ -163,6 +176,9 @@ LoopResult RunOpenLoop(const std::string& host, uint16_t port,
       result.wall_s > 0 ? static_cast<double>(merged.size()) / result.wall_s
                         : 0;
   result.latency = ComputePercentiles(&merged);
+  merged.clear();
+  for (auto& v : send_lags) merged.insert(merged.end(), v.begin(), v.end());
+  result.send_lag = ComputePercentiles(&merged);
   return result;
 }
 
@@ -271,12 +287,16 @@ int main(int argc, char** argv) {
         "  \"errors\": %zu,\n"
         "  \"wall_s\": %.3f,\n"
         "  \"achieved_rps\": %.1f,\n"
-        "  \"latency_ns\": {\"p50\": %llu, \"p99\": %llu, \"p999\": %llu}\n"
+        "  \"latency_ns\": {\"p50\": %llu, \"p99\": %llu, \"p999\": %llu},\n"
+        "  \"send_lag_ns\": {\"p50\": %llu, \"p99\": %llu, \"max\": %llu}\n"
         "}\n",
         connections, rate, r.requests, r.errors, r.wall_s, r.throughput_rps,
         static_cast<unsigned long long>(r.latency.p50),
         static_cast<unsigned long long>(r.latency.p99),
-        static_cast<unsigned long long>(r.latency.p999));
+        static_cast<unsigned long long>(r.latency.p999),
+        static_cast<unsigned long long>(r.send_lag.p50),
+        static_cast<unsigned long long>(r.send_lag.p99),
+        static_cast<unsigned long long>(r.send_lag.max));
   } else {
     std::printf(
         "open loop: offered %.0f rps, achieved %.0f rps, %zu requests, "
@@ -285,6 +305,9 @@ int main(int argc, char** argv) {
     std::printf("  latency p50=%.1fus p99=%.1fus p999=%.1fus\n",
                 r.latency.p50 / 1e3, r.latency.p99 / 1e3,
                 r.latency.p999 / 1e3);
+    std::printf("  send lag p50=%.1fus p99=%.1fus max=%.1fus\n",
+                r.send_lag.p50 / 1e3, r.send_lag.p99 / 1e3,
+                r.send_lag.max / 1e3);
   }
   return r.requests == 0 ? 2 : 0;
 }
