@@ -25,7 +25,9 @@
 # and Description::ToString, which write into one growing buffer), the
 # s-expression lexer's suites (wire, reader, fuzz) under ASan, the
 # taxonomy suites (classification against brute force, pruning bounds)
-# under ASan, then a ThreadSanitizer build that runs the parallel suites —
+# under ASan, the host-value, session and serial-vs-parallel wire-bytes
+# suites under ASan (host individuals carry stored wire names), then a
+# ThreadSanitizer build that runs the parallel suites —
 # including the serving reader-vs-writer race and the planner-vs-naive
 # equivalence harness.
 # Usage:
@@ -129,19 +131,21 @@ if [[ "$TSAN_ONLY" -eq 0 ]]; then
   # here. Builds its own Release tree under .bench_build/ on first use.
   python3 perfbench/smoke_test.py
 
-  echo "== asan: server smoke, the store, normal-form, description, rendering and taxonomy suites and the s-expression lexer under ASan+UBSan"
+  echo "== asan: server smoke, the store, normal-form, description, rendering, taxonomy, host, session and parallel-diff suites and the s-expression lexer under ASan+UBSan"
   cmake -B build-asan -S . -DCLASSIC_SANITIZE=ON > /dev/null
   cmake --build build-asan -j"$JOBS" --target serve_test classic_serve \
     epoch_persistence_test propagate_determinism_test retract_test \
     property_kb_test planner_test storage_test kb_test normalize_test \
     nf_store_test desc_test property_test describe_test wire_test sexpr_test \
-    fuzz_robustness_test classify_reference_test taxonomy_test
+    fuzz_robustness_test classify_reference_test taxonomy_test host_test \
+    session_test parallel_diff_test
   ./build-asan/tests/serve_test
   ./build-asan/tools/classic_serve --self-check examples/university.classic
   for t in epoch_persistence_test propagate_determinism_test retract_test \
       property_kb_test planner_test storage_test kb_test normalize_test \
       nf_store_test desc_test property_test describe_test wire_test \
-      sexpr_test fuzz_robustness_test classify_reference_test taxonomy_test; do
+      sexpr_test fuzz_robustness_test classify_reference_test taxonomy_test \
+      host_test session_test parallel_diff_test; do
     echo "== asan: $t"
     ./build-asan/tests/"$t"
   done

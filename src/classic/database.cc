@@ -141,7 +141,7 @@ Result<std::vector<std::string>> Database::ServeQuery(
     const QueryRequest& request) const {
   QueryAnswer answer = KbEngine::ServeQuery(kb_, request);
   if (!answer.status.ok()) return answer.status;
-  return std::move(answer.values);
+  return answer.values.ToVector();
 }
 
 Result<RetrievalResult> Database::AskWithStats(const std::string& query)

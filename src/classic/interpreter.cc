@@ -422,10 +422,11 @@ Result<std::string> Interpreter::Execute(const sexpr::Value& op) {
     ans = session_->Serve(req);
   }
   CLASSIC_RETURN_NOT_OK(ans.status);
-  if (!req.explain) return FormatAnswer(req.kind, ans.values);
+  std::vector<std::string> values = ans.values.ToVector();
+  if (!req.explain) return FormatAnswer(req.kind, values);
   // values[0] is the rendered plan; the rest is the ordinary answer.
-  std::vector<std::string> rest(ans.values.begin() + 1, ans.values.end());
-  return StrCat(ans.values[0], "\n", FormatAnswer(req.kind, rest));
+  std::vector<std::string> rest(values.begin() + 1, values.end());
+  return StrCat(values[0], "\n", FormatAnswer(req.kind, rest));
 }
 
 Session& Interpreter::TheSession() {

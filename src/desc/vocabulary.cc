@@ -1,5 +1,6 @@
 #include "desc/vocabulary.h"
 
+#include "sexpr/sexpr.h"
 #include "util/string_util.h"
 
 namespace classic {
@@ -175,7 +176,9 @@ Result<IndId> Vocabulary::CreateIndividual(std::string_view name) {
                                         " already exists"));
   }
   IndId id = static_cast<IndId>(inds_.size());
-  inds_.push_back({IndKind::kClassic, sym, std::nullopt});
+  IndInfo info{IndKind::kClassic, sym, nullptr, {}};
+  sexpr::AppendQuoted(name, &info.wire_name);
+  inds_.push_back(std::move(info));
   ind_by_name_.emplace(sym, id);
   return id;
 }
@@ -188,7 +191,9 @@ IndId Vocabulary::InternHostValue(const HostValue& v) const {
   // Listed before the id is published: any individual bound a reader
   // observes then covers no host missing from the list.
   host_ids_.push_back(id);
-  inds_.push_back({IndKind::kHost, kNoSymbol, v});
+  IndInfo info{IndKind::kHost, kNoSymbol, std::make_unique<HostValue>(v), {}};
+  sexpr::AppendQuoted(v.ToString(), &info.wire_name);
+  inds_.push_back(std::move(info));
   host_ind_by_value_.emplace(v, id);
   return id;
 }

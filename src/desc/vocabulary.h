@@ -23,7 +23,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,8 +78,13 @@ struct IndInfo {
   IndKind kind = IndKind::kClassic;
   /// Name symbol; kNoSymbol for anonymous / host individuals.
   Symbol name = kNoSymbol;
-  /// Host value; only meaningful for kHost.
-  std::optional<HostValue> host;
+  /// Host value; set for kHost only (boxed: a CLASSIC individual pays one
+  /// pointer for it).
+  std::unique_ptr<const HostValue> host;
+  /// IndividualName(id) as a string literal, quoted and escaped exactly as
+  /// sexpr::AppendQuoted writes it, so an answer copies it verbatim. Set
+  /// once, before the id is published.
+  std::string wire_name;
 };
 
 /// \brief Named schema concept.

@@ -80,7 +80,7 @@ Explanation ExplainSatisfies(const KnowledgeBase& kb, IndId ind,
         TestArg arg;
         arg.ind = ind;
         const IndInfo& info = vocab.individual(ind);
-        arg.host = info.host ? &*info.host : nullptr;
+        arg.host = info.host.get();
         ok = (**fn)(arg);
         how = ok ? "evaluated to true" : "evaluated to false";
       } else {

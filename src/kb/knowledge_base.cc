@@ -540,7 +540,7 @@ bool KnowledgeBase::SatisfiesImpl(IndId ind, const NormalForm& nf,
     TestArg arg;
     arg.ind = ind;
     const IndInfo& info = vocab_->individual(ind);
-    arg.host = info.host ? &*info.host : nullptr;
+    arg.host = info.host.get();
     if (!(**fn)(arg)) return false;
   }
 

@@ -9,9 +9,44 @@
 
 namespace classic::sexpr {
 
+namespace {
+
 /// Tab-stop width used for column accounting (the convention every
 /// diagnostic position follows; documented in sexpr.h).
 constexpr uint32_t kTabWidth = 8;
+
+/// The reader's lexer: the tokens of `input`, one at a time, with exact
+/// 1-based line/column positions (the column convention in sexpr.h).
+/// Whitespace and `;` comments between tokens are skipped.
+class Lexer {
+ public:
+  enum class Token { kEnd, kOpen, kClose, kString, kAtom };
+
+  explicit Lexer(std::string_view input) : input_(input) {}
+
+  /// The next token's kind, not consumed; line() and column() are then
+  /// its start.
+  Token Peek();
+  void ConsumeParen() { Advance(); }
+  /// Consumes a string literal, appending its unescaped contents.
+  Status ReadString(std::string* out);
+  /// Consumes an atom: an integer, a real or a symbol.
+  Value ReadAtom();
+
+  uint32_t line() const { return line_; }
+  uint32_t column() const { return col_; }
+  /// " (line L, column C)" for the current position.
+  std::string Here() const;
+
+ private:
+  bool AtEnd() const { return pos_ >= input_.size(); }
+  char Advance();
+
+  std::string_view input_;
+  size_t pos_ = 0;
+  uint32_t line_ = 1;
+  uint32_t col_ = 1;
+};
 
 /// Consumes one character, keeping the line/column counters true.
 /// Column convention (see sexpr.h): columns are 1-based character
@@ -108,8 +143,6 @@ Status Lexer::ReadString(std::string* out) {
   }
 }
 
-namespace {
-
 bool LooksNumeric(const std::string& tok) {
   if (tok.empty()) return false;
   size_t i = (tok[0] == '+' || tok[0] == '-') ? 1 : 0;
@@ -136,8 +169,6 @@ Value AtomValue(std::string tok) {
   return Value::MakeSymbol(std::move(tok));
 }
 
-}  // namespace
-
 // An atom is any run of characters excluding whitespace, parens, quotes
 // and the comment marker. `?:` prefixes (query markers) stay attached to
 // the token and are split by the description parser.
@@ -156,7 +187,6 @@ Value Lexer::ReadAtom() {
   return v;
 }
 
-namespace {
 
 /// Recursive-descent reader over the lexer's tokens. Stamps every
 /// produced Value with the position of its first character.

@@ -135,48 +135,6 @@ void AppendQuoted(std::string_view text, std::string* out);
 /// positions.
 std::string LocationSuffix(const Value& v);
 
-/// \brief The reader's lexer: the tokens of `input`, one at a time, with
-/// exact 1-based line/column positions (the column convention above).
-/// Whitespace and `;` comments between tokens are skipped. Parse and
-/// ParseAll build Values from these tokens; a decoder that expects one
-/// fixed shape (QueryAnswer::FromWire) walks them directly and so
-/// accepts exactly the texts the tree reader accepts in that shape.
-class Lexer {
- public:
-  enum class Token { kEnd, kOpen, kClose, kString, kAtom };
-
-  explicit Lexer(std::string_view input) : input_(input) {}
-
-  /// Skips whitespace and comments and returns the next token's kind
-  /// without consuming it; line() and column() are then its start.
-  Token Peek();
-
-  /// Consumes the parenthesis Peek() returned.
-  void ConsumeParen() { Advance(); }
-
-  /// Consumes the string literal Peek() returned, appending its
-  /// unescaped contents to `out`.
-  Status ReadString(std::string* out);
-
-  /// Consumes the atom Peek() returned: an integer, a real or a symbol,
-  /// stamped with its position.
-  Value ReadAtom();
-
-  uint32_t line() const { return line_; }
-  uint32_t column() const { return col_; }
-  /// " (line L, column C)" for the current position.
-  std::string Here() const;
-
- private:
-  bool AtEnd() const { return pos_ >= input_.size(); }
-  char Advance();
-
-  std::string_view input_;
-  size_t pos_ = 0;
-  uint32_t line_ = 1;
-  uint32_t col_ = 1;
-};
-
 /// \brief Parses a single s-expression from `input`.
 ///
 /// The whole input must be consumed (trailing whitespace/comments allowed).

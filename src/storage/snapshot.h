@@ -29,7 +29,9 @@ namespace classic::storage {
 /// program.
 std::string DumpDatabase(const KnowledgeBase& kb);
 
-/// \brief Writes DumpDatabase(kb) to `path` (overwriting).
+/// \brief Replaces `path` with DumpDatabase(kb): writes and syncs
+/// `<path>.tmp`, renames it over `path`, then syncs the directory. On
+/// failure the temp file is removed and `path` is left as it was.
 Status WriteSnapshotFile(const KnowledgeBase& kb, const std::string& path);
 
 }  // namespace classic::storage

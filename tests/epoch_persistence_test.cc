@@ -5,7 +5,7 @@
 // master — however many chunks they path-copy, however many boxed
 // values they copy — must never move a byte of any answer served
 // from an older epoch. These tests publish, mutate, re-publish, and
-// compare QueryAnswer::Canonical() bytes on the old epochs; they also
+// compare QueryAnswer::ToWire() bytes on the old epochs; they also
 // hold retraction to its multiset semantics over the persistent stores
 // and check the as-of routing plus the frozen visibility bound.
 
@@ -65,10 +65,10 @@ SnapshotPtr PublishChecked(KbEngine* engine, Database* db) {
   return snap;
 }
 
-std::vector<std::string> Canonicals(const std::vector<QueryAnswer>& answers) {
+std::vector<std::string> Wires(const std::vector<QueryAnswer>& answers) {
   std::vector<std::string> out;
   out.reserve(answers.size());
-  for (const QueryAnswer& a : answers) out.push_back(a.Canonical());
+  for (const QueryAnswer& a : answers) out.push_back(a.ToWire());
   return out;
 }
 
@@ -82,7 +82,7 @@ TEST(EpochPersistenceTest, OldEpochBytesSurviveMutationAndRepublish) {
 
   const std::vector<QueryRequest> probes = ProbeRequests();
   const std::vector<std::string> before =
-      Canonicals(engine.QueryBatchOn(*epoch1, probes, 1));
+      Wires(engine.QueryBatchOn(*epoch1, probes, 1));
 
   // Mutate heavily: new schema, new individuals, new fillers on an
   // existing individual — each of these path-copies chunks and copies
@@ -102,7 +102,7 @@ TEST(EpochPersistenceTest, OldEpochBytesSurviveMutationAndRepublish) {
 
   // The old epoch answers byte-identically to its pre-mutation self.
   const std::vector<std::string> after =
-      Canonicals(engine.QueryBatchOn(*epoch1, probes, 1));
+      Wires(engine.QueryBatchOn(*epoch1, probes, 1));
   ASSERT_EQ(before.size(), after.size());
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i], after[i]) << "probe#" << i;
@@ -112,7 +112,7 @@ TEST(EpochPersistenceTest, OldEpochBytesSurviveMutationAndRepublish) {
   QueryAnswer now = KbEngine::ServeQuery(epoch2->kb(),
                                          QueryRequest::Ask("STUDENT"));
   ASSERT_TRUE(now.status.ok());
-  EXPECT_NE(now.Canonical(), before[0]);
+  EXPECT_NE(now.ToWire(), before[0]);
 }
 
 TEST(EpochPersistenceTest, AsOfRoutingServesRetainedEpochs) {
@@ -123,7 +123,7 @@ TEST(EpochPersistenceTest, AsOfRoutingServesRetainedEpochs) {
   SnapshotPtr epoch1 = PublishChecked(&engine, &db);
   const std::string old_students =
       KbEngine::ServeQuery(epoch1->kb(), QueryRequest::Ask("STUDENT"))
-          .Canonical();
+          .ToWire();
 
   ASSERT_TRUE(
       db.AssertInd("Bullwinkle", "(FILLS enrolled-at Rutgers)").ok());
@@ -137,8 +137,8 @@ TEST(EpochPersistenceTest, AsOfRoutingServesRetainedEpochs) {
   ASSERT_EQ(answers.size(), 2u);
   ASSERT_TRUE(answers[0].status.ok());
   ASSERT_TRUE(answers[1].status.ok());
-  EXPECT_EQ(answers[1].Canonical(), old_students);
-  EXPECT_NE(answers[0].Canonical(), answers[1].Canonical());
+  EXPECT_EQ(answers[1].ToWire(), old_students);
+  EXPECT_NE(answers[0].ToWire(), answers[1].ToWire());
 
   // Unretained epochs fail with NotFound rather than a wrong answer.
   std::vector<QueryAnswer> missing =
@@ -190,7 +190,7 @@ TEST(EpochPersistenceTest, RetractionKeepsMultisetSemantics) {
   SnapshotPtr epoch1 = PublishChecked(&engine, &db);
   const std::string linked_before =
       KbEngine::ServeQuery(epoch1->kb(), QueryRequest::Ask("LINKED"))
-          .Canonical();
+          .ToWire();
 
   // One retraction removes ONE of the two entries; the surviving entry
   // keeps the derivation alive after the full re-derive over the
@@ -214,11 +214,11 @@ TEST(EpochPersistenceTest, RetractionKeepsMultisetSemantics) {
   SnapshotPtr epoch2 = PublishChecked(&engine, &db);
   EXPECT_EQ(
       KbEngine::ServeQuery(epoch1->kb(), QueryRequest::Ask("LINKED"))
-          .Canonical(),
+          .ToWire(),
       linked_before);
   EXPECT_NE(
       KbEngine::ServeQuery(epoch2->kb(), QueryRequest::Ask("LINKED"))
-          .Canonical(),
+          .ToWire(),
       linked_before);
 }
 

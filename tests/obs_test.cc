@@ -1,8 +1,8 @@
 // The observability layer, single-threaded: exact counter accounting,
-// per-answer stats, the Kind<->string mapping, Canonical() escaping,
-// histograms and trace spans. Everything here is deterministic — the
-// counts asserted are exact, not lower bounds, so a change in inference
-// behavior (an extra normalization, a lost memo hit) fails loudly.
+// per-answer stats, the Kind<->string mapping, histograms and trace
+// spans. Everything here is deterministic — the counts asserted are
+// exact, not lower bounds, so a change in inference behavior (an extra
+// normalization, a lost memo hit) fails loudly.
 
 #include <gtest/gtest.h>
 
@@ -74,33 +74,6 @@ TEST_F(ObsTest, NamedConstructorsSetKindAndText) {
   EXPECT_EQ(QueryRequest::MostSpecificConcepts("Rocky").text, "Rocky");
 }
 
-// --- Canonical() escaping -------------------------------------------------
-
-TEST_F(ObsTest, CanonicalEscapesSeparatorBytes) {
-  // Without escaping, one value containing 0x1f would render identically
-  // to two values — the exact collision the differential harness must
-  // never be blind to.
-  QueryAnswer joined;
-  joined.values = {"a\x1f"
-                   "b"};
-  QueryAnswer split;
-  split.values = {"a", "b"};
-  EXPECT_NE(joined.Canonical(), split.Canonical());
-
-  // The escape character itself is escaped, so "\" + 0x1f cannot collide
-  // with an escaped separator either.
-  QueryAnswer tricky;
-  tricky.values = {"a\\\x1f"
-                   "b"};
-  EXPECT_NE(tricky.Canonical(), joined.Canonical());
-  EXPECT_NE(tricky.Canonical(), split.Canonical());
-
-  // Plain values are unchanged.
-  QueryAnswer plain;
-  plain.values = {"Rocky", "Rutgers"};
-  EXPECT_EQ(plain.Canonical(), std::string("OK\x1fRocky\x1fRutgers"));
-}
-
 // --- Exact single-threaded counter accounting -----------------------------
 
 #if CLASSIC_OBS
@@ -137,7 +110,7 @@ TEST_F(ObsTest, ServeQueryStatsAreExactAndMemoized) {
   const QueryRequest req = QueryRequest::Ask("STUDENT");
   QueryAnswer first = KbEngine::ServeQuery(snap->kb(), req);
   ASSERT_TRUE(first.status.ok());
-  EXPECT_EQ(first.values, std::vector<std::string>{"Rocky"});
+  EXPECT_EQ(first.values.ToVector(), std::vector<std::string>{"Rocky"});
 
   // Every answer accounts for exactly itself as one served query, and
   // serving a query costs at least one query normalization.
@@ -147,7 +120,7 @@ TEST_F(ObsTest, ServeQueryStatsAreExactAndMemoized) {
   // A repeat of the same request on the same snapshot answers the
   // subsumption side from the memo: no new structural tests.
   QueryAnswer second = KbEngine::ServeQuery(snap->kb(), req);
-  EXPECT_EQ(second.Canonical(), first.Canonical());
+  EXPECT_EQ(second.ToWire(), first.ToWire());
   EXPECT_EQ(second.stats.counter(Counter::kSubsumptionTests), 0u);
 
   // Engine-level registry totals picked the work up (the serve scope
@@ -186,11 +159,11 @@ TEST_F(ObsTest, AskPossibleCountsExclusionTestsOnTheSurface) {
       QueryRequest::AskPossible("(AND FEMALE (AT-LEAST 1 s))").Explain());
   ASSERT_TRUE(a.status.ok()) << a.status.ToString();
   EXPECT_EQ(a.stats.counter(Counter::kExclusionTests), 4u);
-  ASSERT_EQ(a.values.size(), 5u);
-  EXPECT_NE(a.values[0].find("(exclusion-test est=6 act=2)"),
-            std::string::npos)
-      << a.values[0];
-  EXPECT_EQ(std::vector<std::string>(a.values.begin() + 1, a.values.end()),
+  const std::vector<std::string> values = a.values.ToVector();
+  ASSERT_EQ(values.size(), 5u);
+  EXPECT_NE(values[0].find("(exclusion-test est=6 act=2)"), std::string::npos)
+      << values[0];
+  EXPECT_EQ(std::vector<std::string>(values.begin() + 1, values.end()),
             (std::vector<std::string>{"A", "B", "C", "E"}));
 
   // The host 5 is the one definite INTEGER; all five others are tested.

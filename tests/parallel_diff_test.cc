@@ -106,7 +106,7 @@ TEST_F(ParallelDiffTest, BatchMatchesSerialAtEveryThreadCount) {
   std::vector<std::string> expected;
   expected.reserve(requests.size());
   for (const QueryRequest& r : requests) {
-    expected.push_back(KbEngine::ServeQuery(snapshot_->kb(), r).Canonical());
+    expected.push_back(KbEngine::ServeQuery(snapshot_->kb(), r).ToWire());
   }
 
   // One engine per serving concurrency (a pool is sized once, at
@@ -117,7 +117,7 @@ TEST_F(ParallelDiffTest, BatchMatchesSerialAtEveryThreadCount) {
         engine.QueryBatchOn(*snapshot_, requests);
     ASSERT_EQ(answers.size(), requests.size());
     for (size_t i = 0; i < answers.size(); ++i) {
-      EXPECT_EQ(answers[i].Canonical(), expected[i])
+      EXPECT_EQ(answers[i].ToWire(), expected[i])
           << "threads=" << threads << " request#" << i << " ["
           << requests[i].text << "]";
     }
@@ -136,7 +136,7 @@ TEST_F(ParallelDiffTest, RepeatedParallelBatchesAreStable) {
   std::vector<QueryAnswer> second = engine.QueryBatchOn(*snapshot_, requests);
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].Canonical(), second[i].Canonical()) << "request#" << i;
+    EXPECT_EQ(first[i].ToWire(), second[i].ToWire()) << "request#" << i;
   }
 }
 
@@ -153,7 +153,7 @@ TEST_F(ParallelDiffTest, IndependentClonesAnswerIdentically) {
   std::vector<QueryAnswer> b = other.QueryBatch(requests);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].Canonical(), b[i].Canonical()) << "request#" << i;
+    EXPECT_EQ(a[i].ToWire(), b[i].ToWire()) << "request#" << i;
   }
 }
 

@@ -85,7 +85,7 @@ TEST_F(ParallelStressTest, ReadersStayConsistentWhileWriterPublishes) {
   ASSERT_NE(early, nullptr);
   QueryRequest mark_req = QueryRequest::InstancesOf("STRESS-MARK");
   const std::string early_marks =
-      KbEngine::ServeQuery(early->kb(), mark_req).Canonical();
+      KbEngine::ServeQuery(early->kb(), mark_req).ToWire();
 
   auto reader = [&](size_t id) {
     Rng rng(1000 + id);
@@ -116,12 +116,13 @@ TEST_F(ParallelStressTest, ReadersStayConsistentWhileWriterPublishes) {
         fail(StrCat("instances-of failed: ", marks.status.ToString()));
         return;
       }
-      for (size_t i = 0; i < marks.values.size(); ++i) {
-        if (marks.values[i] != StrCat("S-", i)) {
-          fail(StrCat("non-prefix marker set at position ", i, ": ",
-                      marks.values[i]));
+      size_t i = 0;
+      for (const std::string& mark : marks.values) {
+        if (mark != StrCat("S-", i)) {
+          fail(StrCat("non-prefix marker set at position ", i, ": ", mark));
           return;
         }
+        ++i;
       }
       if (marks.values.size() < last_mark_count) {
         // Same reader, newer-or-equal epoch: the set may only grow.
@@ -135,8 +136,8 @@ TEST_F(ParallelStressTest, ReadersStayConsistentWhileWriterPublishes) {
       QueryRequest probe =
           QueryRequest::Ask(workload_.schema.defined_names[rng.Below(
               workload_.schema.defined_names.size())]);
-      std::string once = KbEngine::ServeQuery(snap->kb(), probe).Canonical();
-      std::string twice = KbEngine::ServeQuery(snap->kb(), probe).Canonical();
+      std::string once = KbEngine::ServeQuery(snap->kb(), probe).ToWire();
+      std::string twice = KbEngine::ServeQuery(snap->kb(), probe).ToWire();
       if (once != twice) {
         fail(StrCat("torn read within a snapshot on ", probe.text));
         return;
@@ -215,7 +216,7 @@ TEST_F(ParallelStressTest, ReadersStayConsistentWhileWriterPublishes) {
   EXPECT_GT(reader_iterations.load(), 0u);
 
   // Stale epoch still valid and byte-stable after ~60 publishes.
-  EXPECT_EQ(KbEngine::ServeQuery(early->kb(), mark_req).Canonical(),
+  EXPECT_EQ(KbEngine::ServeQuery(early->kb(), mark_req).ToWire(),
             early_marks);
   EXPECT_EQ(early->epoch(), 1u);
 

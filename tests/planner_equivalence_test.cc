@@ -133,14 +133,15 @@ class PlannerEquivalenceTest : public ::testing::Test {
       ASSERT_NE(snap, nullptr) << where(i);
       ASSERT_TRUE(serial[i].status.ok())
           << where(i) << ": " << serial[i].status.ToString();
-      EXPECT_EQ(serial[i].values, NaiveAsk(snap->kb(), r.text)) << where(i);
+      EXPECT_EQ(serial[i].values.ToVector(), NaiveAsk(snap->kb(), r.text))
+          << where(i);
     }
     for (const auto& [threads, engine] :
          {std::pair<size_t, KbEngine*>{4, &four_}, {8, &eight_}}) {
       const std::vector<QueryAnswer> parallel = engine->QueryBatch(requests);
       ASSERT_EQ(parallel.size(), serial.size());
       for (size_t i = 0; i < parallel.size(); ++i) {
-        EXPECT_EQ(parallel[i].Canonical(), serial[i].Canonical())
+        EXPECT_EQ(parallel[i].ToWire(), serial[i].ToWire())
             << "threads=" << threads << " " << where(i);
       }
     }

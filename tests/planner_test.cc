@@ -167,8 +167,8 @@ TEST_F(PlannerTest, PlanPinnedForEachBaseKind) {
         KbEngine::ServeQuery(db_.kb(), QueryRequest::Ask(c.query).Explain());
     ASSERT_TRUE(a.status.ok()) << c.query << ": " << a.status.ToString();
     ASSERT_FALSE(a.values.empty()) << c.query;
-    EXPECT_EQ(a.values[0], c.plan) << c.query;
-    EXPECT_EQ(std::vector<std::string>(a.values.begin() + 1, a.values.end()),
+    EXPECT_EQ(*a.values.begin(), c.plan) << c.query;
+    EXPECT_EQ(std::vector<std::string>(++a.values.begin(), a.values.end()),
               c.answers)
         << c.query;
   }
@@ -201,7 +201,7 @@ TEST(PlannerDeterminismTest, PlanDoesNotDependOnServedHistory) {
   ASSERT_TRUE(after.status.ok()) << after.status.ToString();
   ASSERT_FALSE(before.values.empty());
   EXPECT_EQ(after.values, before.values);
-  EXPECT_EQ(before.values[0],
+  EXPECT_EQ(*before.values.begin(),
             "(plan ask (concept est=1 act=1 (satisfies-filter est=0 act=1 "
             "(intersect est=1 act=1 (fills-postings enrolled-at MIT est=1) "
             "(taxonomy-instances PERSON est=2)))))");
@@ -252,10 +252,10 @@ TEST_F(PlannerTest, ExplainPrependsPlanWithoutChangingAnswers) {
   QueryAnswer exp = KbEngine::ServeQuery(db_.kb(), explained);
   ASSERT_TRUE(exp.status.ok()) << exp.status.ToString();
   ASSERT_EQ(exp.values.size(), base.values.size() + 1);
-  EXPECT_EQ(exp.values[0].rfind("(plan ask ", 0), 0u) << exp.values[0];
-  EXPECT_EQ(std::vector<std::string>(exp.values.begin() + 1,
-                                     exp.values.end()),
-            base.values);
+  const std::string plan = *exp.values.begin();
+  EXPECT_EQ(plan.rfind("(plan ask ", 0), 0u) << plan;
+  EXPECT_EQ(std::vector<std::string>(++exp.values.begin(), exp.values.end()),
+            base.values.ToVector());
 }
 
 TEST_F(PlannerTest, ExplainCoversEveryRequestKind) {
@@ -276,9 +276,9 @@ TEST_F(PlannerTest, ExplainCoversEveryRequestKind) {
     ASSERT_TRUE(a.status.ok()) << QueryKindName(r.kind) << ": "
                                << a.status.ToString();
     ASSERT_FALSE(a.values.empty()) << QueryKindName(r.kind);
-    EXPECT_EQ(a.values[0].rfind(StrCat("(plan ", QueryKindName(r.kind)), 0),
-              0u)
-        << a.values[0];
+    const std::string plan = *a.values.begin();
+    EXPECT_EQ(plan.rfind(StrCat("(plan ", QueryKindName(r.kind)), 0), 0u)
+        << plan;
   }
 }
 
@@ -289,8 +289,8 @@ TEST_F(PlannerTest, MarkerQueriesWrapPlanInWalkNodes) {
       QueryRequest::Ask("(AND PERSON (ALL enrolled-at ?:SCHOOL))").Explain());
   ASSERT_TRUE(a.status.ok()) << a.status.ToString();
   ASSERT_FALSE(a.values.empty());
-  EXPECT_NE(a.values[0].find("(marker-walk enrolled-at"), std::string::npos)
-      << a.values[0];
+  const std::string plan = *a.values.begin();
+  EXPECT_NE(plan.find("(marker-walk enrolled-at"), std::string::npos) << plan;
 }
 
 }  // namespace

@@ -116,7 +116,7 @@ TEST(PropagateStress, BulkLoadsRaceSnapshotReaders) {
         QueryAnswer desc = KbEngine::ServeQuery(
             snap->kb(),
             QueryRequest::DescribeIndividual(
-                marked.values[rng.Below(marked.values.size())]));
+                marked.values.ToVector()[rng.Below(marked.values.size())]));
         if (!desc.status.ok()) {
           errors[id] = StrCat("describe: ", desc.status.ToString());
           failed.store(true, std::memory_order_relaxed);

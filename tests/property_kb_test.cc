@@ -300,7 +300,7 @@ void ExpectPossibleEqualsNaive(const KnowledgeBase& kb,
   for (const std::string& text : queries) {
     QueryAnswer a = KbEngine::ServeQuery(kb, QueryRequest::AskPossible(text));
     ASSERT_TRUE(a.status.ok()) << text << ": " << a.status.ToString();
-    EXPECT_EQ(a.values, NaivePossible(kb, text))
+    EXPECT_EQ(a.values.ToVector(), NaivePossible(kb, text))
         << text << " on the " << where;
   }
 }
@@ -381,8 +381,8 @@ TEST(PossibleSurfaceTest, ValueRestrictionOnlyStateIsExcluded) {
   for (const KnowledgeBase* kb : {&master, &snap->kb()}) {
     QueryAnswer a = KbEngine::ServeQuery(*kb, QueryRequest::AskPossible(query));
     ASSERT_TRUE(a.status.ok()) << a.status.ToString();
-    EXPECT_EQ(a.values, std::vector<std::string>{"Open"});
-    EXPECT_EQ(a.values, NaivePossible(*kb, query));
+    EXPECT_EQ(a.values.ToVector(), std::vector<std::string>{"Open"});
+    EXPECT_EQ(a.values.ToVector(), NaivePossible(*kb, query));
   }
 }
 
@@ -407,7 +407,7 @@ TEST(PossibleSurfaceTest, HostLiteralInternedByReaderIsExcluded) {
     QueryAnswer a =
         KbEngine::ServeQuery(second->kb(), QueryRequest::AskPossible(query));
     ASSERT_TRUE(a.status.ok()) << a.status.ToString();
-    EXPECT_EQ(a.values, NaivePossible(second->kb(), query)) << query;
+    EXPECT_EQ(a.values.ToVector(), NaivePossible(second->kb(), query)) << query;
     EXPECT_EQ(std::find(a.values.begin(), a.values.end(), "4242"),
               a.values.end())
         << query;

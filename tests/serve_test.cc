@@ -1,5 +1,5 @@
 // End-to-end serving tests over a real loopback socket: pipelined wire
-// answers must be byte-identical (QueryAnswer::Canonical) to a direct
+// answers must be byte-identical (QueryAnswer::ToWire) to a direct
 // KbEngine::QueryBatch on the same epoch; overload sheds with a typed
 // error frame and the connection survives; sessions stay pinned across
 // writer publishes until an explicit (sync); protocol violations close
@@ -92,7 +92,7 @@ TEST(ServeTest, PipelinedAnswersAreByteIdenticalToDirectBatch) {
       engine.QueryBatchOn(*snap, probes, 1);
   ASSERT_EQ(via_wire.size(), direct.size());
   for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(via_wire[i].Canonical(), direct[i].Canonical())
+    EXPECT_EQ(via_wire[i].ToWire(), direct[i].ToWire())
         << "probe#" << i;
   }
 
@@ -125,8 +125,9 @@ TEST(ServeTest, RawTextAndCanonicalFormsServeAlike) {
   ASSERT_TRUE(canonical.ok());
   ASSERT_TRUE(human->is_answer);
   ASSERT_TRUE(canonical->is_answer);
-  EXPECT_EQ(human->answer.Canonical(), canonical->answer.Canonical());
-  EXPECT_EQ(human->answer.values, (std::vector<std::string>{"Rocky"}));
+  EXPECT_EQ(human->answer.ToWire(), canonical->answer.ToWire());
+  EXPECT_EQ(human->answer.values.ToVector(),
+            (std::vector<std::string>{"Rocky"}));
 
   server.Stop();
 }
@@ -163,7 +164,7 @@ TEST(ServeTest, MalformedRequestsGetInOrderErrorFrames) {
   // The connection survived the bad requests.
   Result<QueryAnswer> again = client->Call(QueryRequest::Ask("STUDENT"));
   ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_EQ(again->values, (std::vector<std::string>{"Rocky"}));
+  EXPECT_EQ(again->values.ToVector(), (std::vector<std::string>{"Rocky"}));
 
   server.Stop();
 }
@@ -226,7 +227,7 @@ TEST(ServeTest, SessionStaysPinnedAcrossPublishesUntilSync) {
 
   Result<QueryAnswer> still = client->Call(QueryRequest::Ask("STUDENT"));
   ASSERT_TRUE(still.ok());
-  EXPECT_EQ(still->Canonical(), before->Canonical());
+  EXPECT_EQ(still->ToWire(), before->ToWire());
 
   // (sync) opts in to the new epoch.
   Result<uint64_t> synced = client->Sync();
@@ -234,7 +235,7 @@ TEST(ServeTest, SessionStaysPinnedAcrossPublishesUntilSync) {
   EXPECT_EQ(*synced, 2u);
   Result<QueryAnswer> fresh = client->Call(QueryRequest::Ask("STUDENT"));
   ASSERT_TRUE(fresh.ok());
-  EXPECT_NE(fresh->Canonical(), before->Canonical());
+  EXPECT_NE(fresh->ToWire(), before->ToWire());
 
   // (as-of 1) travels back; an unretained epoch is a typed error.
   Result<uint64_t> repinned = client->PinEpoch(1);
@@ -242,7 +243,7 @@ TEST(ServeTest, SessionStaysPinnedAcrossPublishesUntilSync) {
   EXPECT_EQ(*repinned, 1u);
   Result<QueryAnswer> old_again = client->Call(QueryRequest::Ask("STUDENT"));
   ASSERT_TRUE(old_again.ok());
-  EXPECT_EQ(old_again->Canonical(), before->Canonical());
+  EXPECT_EQ(old_again->ToWire(), before->ToWire());
 
   Result<uint64_t> missing = client->PinEpoch(99);
   ASSERT_FALSE(missing.ok());

@@ -57,7 +57,7 @@ TEST(SessionTest, PublishPinsAndServes) {
 
   QueryAnswer answer = session.Serve(QueryRequest::Ask("STUDENT"));
   ASSERT_TRUE(answer.status.ok());
-  EXPECT_EQ(answer.values, (std::vector<std::string>{"Rocky"}));
+  EXPECT_EQ(answer.values.ToVector(), (std::vector<std::string>{"Rocky"}));
 }
 
 TEST(SessionTest, PinnedSessionIsSnapshotIsolatedFromWriter) {
@@ -71,7 +71,7 @@ TEST(SessionTest, PinnedSessionIsSnapshotIsolatedFromWriter) {
   Session reader(&engine);
   ASSERT_EQ(reader.epoch(), 1u);
   const std::string before =
-      reader.Serve(QueryRequest::Ask("STUDENT")).Canonical();
+      reader.Serve(QueryRequest::Ask("STUDENT")).ToWire();
 
   // The writer moves on; the pinned reader must not.
   ASSERT_TRUE(db.CreateIndividual("Bullwinkle", "PERSON").ok());
@@ -80,17 +80,17 @@ TEST(SessionTest, PinnedSessionIsSnapshotIsolatedFromWriter) {
   engine.PublishFrom(db.kb());
 
   EXPECT_EQ(reader.epoch(), 1u);
-  EXPECT_EQ(reader.Serve(QueryRequest::Ask("STUDENT")).Canonical(), before);
+  EXPECT_EQ(reader.Serve(QueryRequest::Ask("STUDENT")).ToWire(), before);
 
   // Sync is the explicit opt-in to the new epoch.
   Result<uint64_t> synced = reader.Sync();
   ASSERT_TRUE(synced.ok());
   EXPECT_EQ(*synced, 2u);
-  EXPECT_NE(reader.Serve(QueryRequest::Ask("STUDENT")).Canonical(), before);
+  EXPECT_NE(reader.Serve(QueryRequest::Ask("STUDENT")).ToWire(), before);
 
   // And PinEpoch is the explicit travel back.
   ASSERT_TRUE(reader.PinEpoch(1).ok());
-  EXPECT_EQ(reader.Serve(QueryRequest::Ask("STUDENT")).Canonical(), before);
+  EXPECT_EQ(reader.Serve(QueryRequest::Ask("STUDENT")).ToWire(), before);
 
   EXPECT_EQ(reader.RetainedEpochs(), (std::vector<uint64_t>{1, 2}));
   EXPECT_EQ(reader.PinEpoch(99).status().code(), StatusCode::kNotFound);
@@ -105,7 +105,7 @@ TEST(SessionTest, PerRequestAsOfOverridesThePin) {
   const std::string old_students =
       KbEngine::ServeQuery(engine.snapshot()->kb(),
                            QueryRequest::Ask("STUDENT"))
-          .Canonical();
+          .ToWire();
 
   ASSERT_TRUE(db.CreateIndividual("Bullwinkle", "PERSON").ok());
   ASSERT_TRUE(
@@ -122,8 +122,8 @@ TEST(SessionTest, PerRequestAsOfOverridesThePin) {
   ASSERT_EQ(answers.size(), 2u);
   ASSERT_TRUE(answers[0].status.ok());
   ASSERT_TRUE(answers[1].status.ok());
-  EXPECT_EQ(answers[1].Canonical(), old_students);
-  EXPECT_NE(answers[0].Canonical(), answers[1].Canonical());
+  EXPECT_EQ(answers[1].ToWire(), old_students);
+  EXPECT_NE(answers[0].ToWire(), answers[1].ToWire());
 }
 
 TEST(SessionTest, RequestFromFormAcceptsEveryReadOnlyForm) {
@@ -197,7 +197,7 @@ TEST(SessionTest, ServeBatchMatchesEngineQueryBatchBytes) {
       engine.QueryBatchOn(*snap, probes, 1);
   ASSERT_EQ(via_session.size(), direct.size());
   for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(via_session[i].Canonical(), direct[i].Canonical())
+    EXPECT_EQ(via_session[i].ToWire(), direct[i].ToWire())
         << "probe#" << i;
   }
 }

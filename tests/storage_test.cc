@@ -1,7 +1,9 @@
 // Tests for persistence: the operation log, snapshots, and recovery.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -12,6 +14,7 @@
 #include "query/introspect.h"
 #include "storage/log.h"
 #include "storage/snapshot.h"
+#include "util/string_util.h"
 #include "workload.h"
 
 namespace classic {
@@ -19,6 +22,11 @@ namespace {
 
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 class StorageTest : public ::testing::Test {
@@ -332,6 +340,51 @@ TEST_F(StorageTest, CheckpointThenReloadKeepsDerivedState) {
   EXPECT_EQ(recovered.kb().CanonicalDerivedState(), before);
   std::remove(log_path.c_str());
   std::remove(snap_path.c_str());
+}
+
+// A snapshot write that fails part-way (here: past this process's file
+// size limit) leaves the previous snapshot and the op log as they were.
+TEST_F(StorageTest, FailedSnapshotWriteKeepsThePreviousSnapshot) {
+  const std::string snap_path = TempPath("classic_keep.snap");
+  const std::string log_path = TempPath("classic_keep.log");
+  std::remove(log_path.c_str());
+  Database a;
+  BuildSampleDb(&a);
+  Must(a.SaveSnapshot(snap_path));
+  const std::string a_bytes = FileBytes(snap_path);
+
+  Database b;
+  Must(b.OpenLog(log_path));
+  BuildSampleDb(&b);
+  for (int i = 0; i < 200; ++i) {
+    Must(b.CreateIndividual(StrCat("Extra-", i), "PERSON"));
+  }
+  const std::string log_bytes = FileBytes(log_path);
+  ASSERT_GT(storage::DumpDatabase(b.kb()).size(), a_bytes.size() + 2048);
+
+  // Writes past the limit fail with EFBIG instead of raising SIGXFSZ.
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit old_limit{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  rlimit lowered = old_limit;
+  lowered.rlim_cur = a_bytes.size() + 1024;
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  const Status saved = b.SaveSnapshot(snap_path);
+  const Status checkpointed = b.Checkpoint(snap_path);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_TRUE(saved.IsIOError()) << saved.ToString();
+  EXPECT_TRUE(checkpointed.IsIOError()) << checkpointed.ToString();
+  EXPECT_EQ(FileBytes(snap_path), a_bytes);
+  EXPECT_FALSE(std::ifstream(snap_path + ".tmp").good());
+  EXPECT_EQ(FileBytes(log_path), log_bytes);
+  Database restored;
+  Must(restored.LoadFile(snap_path));
+  EXPECT_EQ(restored.kb().CanonicalDerivedState(),
+            a.kb().CanonicalDerivedState());
+  std::remove(snap_path.c_str());
+  std::remove(log_path.c_str());
 }
 
 TEST_F(StorageTest, CheckpointWithoutLogIsAnError) {

@@ -104,7 +104,7 @@ int SelfCheck(KbEngine* engine, const Server& server) {
   for (size_t i = 0; i < probes.size(); ++i) {
     Result<Reply> reply = (*client)->RecvReply();
     if (!reply.ok()) return fail("pipelined recv", reply.status());
-    if (!reply->is_answer || reply->answer.Canonical() != direct[i].Canonical()) {
+    if (!reply->is_answer || reply->answer.ToWire() != direct[i].ToWire()) {
       std::fprintf(stderr,
                    "classic_serve: self-check failed: probe#%zu answer "
                    "differs from the direct engine batch\n",
